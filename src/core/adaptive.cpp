@@ -1,12 +1,90 @@
 #include "core/adaptive.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <cstdint>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <stdexcept>
 
 #include "core/pairing.hpp"
+#include "obs/obs.hpp"
 
 namespace lion::core {
+
+namespace {
+
+/// What one sweep shares with its helper tasks. Helpers hold it by
+/// shared_ptr, so a helper that starts after the sweep returned still
+/// finds a live cursor, sees it exhausted, and leaves. The pointed-to
+/// inputs and outputs live with the caller: a helper dereferences them
+/// only after claiming a cell, and the caller does not return before
+/// every claimed cell is done.
+struct CellSweep {
+  const AdaptiveConfig* config = nullptr;
+  const std::vector<signal::PhaseProfile>* windows = nullptr;  ///< per range
+  AdaptiveCandidate* candidates = nullptr;  ///< one slot per cell
+  std::size_t cells = 0;
+
+  std::atomic<std::size_t> next{0};  ///< claim cursor
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t done = 0;  ///< cells finished; guarded by mu
+  /// Lowest-numbered cell that raised a non-std exception (the serial
+  /// sweep would have propagated it first); guarded by mu.
+  std::size_t failed_cell = SIZE_MAX;
+  std::exception_ptr failure;
+};
+
+/// Cell k = (range k / |intervals|, interval k % |intervals|), written to
+/// its own candidate slot. std::exception marks the cell unusable;
+/// anything else escapes to claim_cells.
+void run_cell(const CellSweep& s, std::size_t k, linalg::SolverWorkspace* ws) {
+  const AdaptiveConfig& config = *s.config;
+  const std::size_t r = k / config.intervals.size();
+  const signal::PhaseProfile& windowed = (*s.windows)[r];
+  AdaptiveCandidate& cand = s.candidates[k];
+  cand.range = config.ranges[r];
+  cand.interval = config.intervals[k % config.intervals.size()];
+  LocalizerConfig lc = adaptive_cell_config(config, cand.interval, windowed);
+  lc.workspace = ws;
+  try {
+    cand.result = LinearLocalizer(lc).locate(windowed);
+    cand.usable = adaptive_candidate_usable(cand.result, config);
+  } catch (const std::exception&) {
+    cand.usable = false;
+  }
+}
+
+/// The sweep's one cell loop, run by the caller and by every helper:
+/// claim cells off the shared cursor until it passes the last one.
+void claim_cells(CellSweep& s, linalg::SolverWorkspace* ws, bool helper) {
+  std::size_t ran = 0;
+  for (;;) {
+    const std::size_t k = s.next.fetch_add(1);
+    if (k >= s.cells) break;
+    std::exception_ptr failure;
+    try {
+      run_cell(s, k, ws);
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    ++ran;
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (failure && k < s.failed_cell) {
+      s.failed_cell = k;
+      s.failure = failure;
+    }
+    if (++s.done == s.cells) s.cv.notify_all();
+  }
+  LION_OBS_COUNT("adaptive.cells", ran);
+  if (helper) LION_OBS_COUNT("adaptive.cells_offloaded", ran);
+}
+
+}  // namespace
 
 LocalizerConfig adaptive_cell_config(const AdaptiveConfig& config,
                                      double interval,
@@ -70,31 +148,43 @@ AdaptiveResult finalize_adaptive_sweep(
 }
 
 AdaptiveResult locate_adaptive(const signal::PhaseProfile& profile,
-                               const AdaptiveConfig& config) {
+                               const AdaptiveConfig& config,
+                               SweepExecutor* executor) {
   if (config.ranges.empty() || config.intervals.empty()) {
     throw std::invalid_argument("locate_adaptive: empty candidate lists");
   }
-  std::vector<AdaptiveCandidate> candidates;
-  candidates.reserve(config.ranges.size() * config.intervals.size());
-
+  std::vector<signal::PhaseProfile> windows;
+  windows.reserve(config.ranges.size());
   for (double range : config.ranges) {
-    const auto windowed =
-        restrict_to_x_range(profile, config.range_center_x, range);
-    for (double interval : config.intervals) {
-      AdaptiveCandidate cand;
-      cand.range = range;
-      cand.interval = interval;
-      const LocalizerConfig lc =
-          adaptive_cell_config(config, interval, windowed);
-      try {
-        cand.result = LinearLocalizer(lc).locate(windowed);
-        cand.usable = adaptive_candidate_usable(cand.result, config);
-      } catch (const std::exception&) {
-        cand.usable = false;
-      }
-      candidates.push_back(std::move(cand));
-    }
+    windows.push_back(
+        restrict_to_x_range(profile, config.range_center_x, range));
   }
+  std::vector<AdaptiveCandidate> candidates(config.ranges.size() *
+                                            config.intervals.size());
+
+  const auto sweep = std::make_shared<CellSweep>();
+  sweep->config = &config;
+  sweep->windows = &windows;
+  sweep->candidates = candidates.data();
+  sweep->cells = candidates.size();
+
+  const std::size_t helpers =
+      executor ? std::min(executor->helpers(), sweep->cells - 1) : 0;
+  try {
+    for (std::size_t h = 0; h < helpers; ++h) {
+      executor->spawn([sweep](linalg::SolverWorkspace* ws) {
+        claim_cells(*sweep, ws, true);
+      });
+    }
+  } catch (...) {
+    // Fewer helpers only means the caller claims more cells.
+  }
+  claim_cells(*sweep, config.base.workspace, false);
+  {
+    std::unique_lock<std::mutex> lock(sweep->mu);
+    sweep->cv.wait(lock, [&] { return sweep->done == sweep->cells; });
+  }
+  if (sweep->failure) std::rethrow_exception(sweep->failure);
 
   return finalize_adaptive_sweep(std::move(candidates), config);
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "core/localizer.hpp"
@@ -59,10 +60,44 @@ struct AdaptiveResult {
   double best_interval = 0.0;  ///< interval of that candidate
 };
 
+/// Where an adaptive sweep may run cells besides the calling thread: the
+/// core-side view of a thread pool (core does not depend on engine).
+///
+/// Contract for implementations: spawn() hands `task` to some thread,
+/// which calls it at most once — right away, after the sweep has returned,
+/// or never. The task receives that thread's solver scratch (nullptr for
+/// none), which no other thread may use while the task runs. A late task
+/// finds every cell claimed and returns without touching the sweep's
+/// inputs or outputs, so the executor may outlive the sweep's caller.
+class SweepExecutor {
+ public:
+  using Task = std::function<void(linalg::SolverWorkspace*)>;
+
+  /// Helper tasks one sweep may spawn (0: the caller runs every cell).
+  virtual std::size_t helpers() const = 0;
+
+  /// Hand `task` to a helper thread. A throw stops further spawning; the
+  /// caller then claims the remaining cells itself.
+  virtual void spawn(Task task) = 0;
+
+ protected:
+  ~SweepExecutor() = default;  ///< never deleted through this interface
+};
+
 /// Run the adaptive sweep. Throws std::invalid_argument when no candidate
 /// combination yields a solvable system.
+///
+/// Every (range, interval) cell is claimed from one shared cursor by the
+/// caller and, when `executor` is set, by up to executor->helpers() helper
+/// tasks. Each cell writes only its own candidate slot and the ranking
+/// runs in cell order afterwards, so the result is bit-identical with or
+/// without an executor. The caller waits only for cells a helper has
+/// already claimed, never for a helper to start. Cells run on the caller
+/// use `config.base.workspace`; cells run on a helper use the scratch
+/// spawn() passes them.
 AdaptiveResult locate_adaptive(const signal::PhaseProfile& profile,
-                               const AdaptiveConfig& config);
+                               const AdaptiveConfig& config,
+                               SweepExecutor* executor = nullptr);
 
 /// The localizer configuration locate_adaptive uses for one (range,
 /// interval) cell over the windowed profile `windowed` — shared with the

@@ -112,12 +112,12 @@ void append_message(CalibrationDiagnostics& diag, const std::string& text) {
 
 CalibrationReport calibrate_antenna_robust(
     const std::vector<sim::PhaseSample>& samples, const Vec3& physical_center,
-    const RobustCalibrationConfig& config,
-    linalg::SolverWorkspace* workspace) {
+    const RobustCalibrationConfig& config, linalg::SolverWorkspace* workspace,
+    SweepExecutor* executor) {
   return calibrate_with_sweep(samples, physical_center, config, workspace,
-                              [](const signal::PhaseProfile& profile,
-                                 const AdaptiveConfig& cfg) {
-                                return locate_adaptive(profile, cfg);
+                              [executor](const signal::PhaseProfile& profile,
+                                         const AdaptiveConfig& cfg) {
+                                return locate_adaptive(profile, cfg, executor);
                               });
 }
 

@@ -134,10 +134,15 @@ struct RobustCalibrationConfig {
 /// RANSAC/IRLS solve of the run; passing a long-lived workspace makes the
 /// steady-state solver core allocation-free across calls without changing
 /// any result bit. It must not be shared across threads.
+///
+/// `executor` (optional, non-owning) lets each adaptive sweep fan its
+/// cells out to helper threads (see locate_adaptive); the report is
+/// byte-identical with or without it.
 CalibrationReport calibrate_antenna_robust(
     const std::vector<sim::PhaseSample>& samples, const Vec3& physical_center,
     const RobustCalibrationConfig& config = {},
-    linalg::SolverWorkspace* workspace = nullptr);
+    linalg::SolverWorkspace* workspace = nullptr,
+    SweepExecutor* executor = nullptr);
 
 /// The adaptive sweep a robust calibration runs for one attempt (3D, and
 /// possibly the 2D fallback). Receives the preprocessed profile and the

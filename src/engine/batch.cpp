@@ -81,7 +81,8 @@ BatchResult BatchEngine::run(const std::vector<CalibrationJob>& jobs) const {
         // One solver workspace per pool thread: after the first job warms
         // it, the per-job RANSAC/IRLS core stops allocating. Safe because
         // a task runs on exactly one worker and never shares the
-        // workspace (results are workspace-independent anyway).
+        // workspace (results are workspace-independent anyway). No sweep
+        // executor: the jobs themselves already fill every worker.
         thread_local linalg::SolverWorkspace solver_ws;
         try {
           slot.report = job.work

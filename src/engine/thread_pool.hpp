@@ -32,24 +32,25 @@ class ThreadPool {
  public:
   using Task = std::function<void()>;
 
-  /// Spawn `threads` workers (clamped to at least 1). Throws
-  /// std::invalid_argument on 0 only when `allow_inline` is false; the
-  /// engine passes explicit counts, so 0 is a caller bug.
+  /// Spawn `threads` workers. Throws std::invalid_argument on 0: callers
+  /// pass explicit counts, so 0 is a caller bug.
   explicit ThreadPool(std::size_t threads);
 
   /// Stops accepting work, wakes all workers, joins. Tasks already
-  /// submitted but not yet started are abandoned (the engine always
-  /// wait_idle()s before destruction, so this only matters on exception
-  /// paths).
+  /// submitted but not yet started are abandoned (the batch engine always
+  /// wait_idle()s before destruction; a serve pool may still hold sweep
+  /// helpers, which are safe to drop unrun).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueue a task. Thread-safe; may be called from worker threads
-  /// (nested submission), though the engine does not need it. Tasks must
-  /// not throw — a throwing task is caught, counted, and dropped so one
-  /// bad job can never take the pool down.
+  /// Enqueue a task. Thread-safe, including from worker threads: a serve
+  /// solve submits its sweep helpers (engine/pool_executor.hpp) from the
+  /// worker running it. A nested task counts as pending before its
+  /// submitter finishes, so wait_idle() waits for it too. Tasks must not
+  /// throw — a throwing task is caught, counted, and dropped so one bad
+  /// job can never take the pool down.
   void submit(Task task);
 
   /// Block until every submitted task has finished running.

@@ -51,7 +51,8 @@ void register_pipeline_metrics() {
         "engine.jobs", "engine.steals", "engine.exceptions", "serve.lines",
         "serve.samples", "serve.requests", "serve.errors", "serve.evictions",
         "serve.backpressure_waits", "serve.rejected_busy", "serve.timeouts",
-        "serve.oversized", "serve.ticks", "serve.tick_fallbacks"}) {
+        "serve.oversized", "serve.ticks", "serve.tick_fallbacks",
+        "serve.replay_solves", "adaptive.cells", "adaptive.cells_offloaded"}) {
     (void)reg.try_counter(name);
   }
   (void)reg.try_histogram("ransac.inlier_fraction", fraction_bounds());

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/calibration.hpp"
-#include "linalg/small.hpp"
+#include "engine/pool_executor.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/process.hpp"
@@ -405,6 +405,11 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
 
 void StreamService::replay_records(StreamSession& session,
                                    const RecoveredSession& rec) {
+  // Sample-count prefix of the last replayable kCalAnchor. install_anchor
+  // replaces the whole anchor state, so re-solving only the last anchor
+  // restores exactly what re-solving every one in order would — at one
+  // solve per restore, however many flushes the session has seen.
+  std::optional<std::size_t> anchor_samples;
   for (const JournalRecord& record : rec.records) {
     switch (record.type) {
       case JournalRecordType::kDeclare:
@@ -446,35 +451,38 @@ void StreamService::replay_records(StreamSession& session,
         break;
       case JournalRecordType::kCalAnchor: {
         if (session.config.mode != SessionMode::kCalibrate) break;
-        // Re-run the batch solve the live path ran, over the recorded
-        // sample-count prefix — the pipeline is deterministic, so the
-        // restored anchor (digest, report bytes, per-candidate warm
-        // state) is identical to the pre-crash one.
         char* end = nullptr;
         const unsigned long long n =
             std::strtoull(record.line.c_str(), &end, 10);
         if (end == record.line.c_str() || n > session.buffer.size()) break;
-        ensure_cal_solver(session);
-        if (!session.cal) break;
-        try {
-          const std::vector<sim::PhaseSample> prefix(
-              session.buffer.begin(),
-              session.buffer.begin() + static_cast<std::ptrdiff_t>(n));
-          thread_local linalg::SolverWorkspace solver_ws;
-          const core::CalibrationReport report =
-              core::calibrate_antenna_robust(prefix, session.config.center,
-                                             session.config.calibration,
-                                             &solver_ws);
-          session.cal->install_anchor(prefix, report);
-        } catch (...) {
-          // A solver that cannot reproduce the anchor falls back to cold
-          // (every post-restore flush takes the batch path) — degraded,
-          // never wrong.
-          session.cal->reset();
-        }
+        anchor_samples = static_cast<std::size_t>(n);
         break;
       }
     }
+  }
+  if (!anchor_samples) return;
+  ensure_cal_solver(session);
+  if (!session.cal) return;
+  // Re-run the batch solve the live path ran, over the recorded prefix
+  // (the buffer only grows, so the prefix is the one the anchor saw) —
+  // the pipeline is deterministic, so the restored anchor (digest, report
+  // bytes, per-candidate warm state) is identical to the pre-crash one.
+  // This thread is not a pool worker, so every pool thread may help.
+  LION_OBS_COUNT("serve.replay_solves", 1);
+  try {
+    const std::vector<sim::PhaseSample> prefix(
+        session.buffer.begin(),
+        session.buffer.begin() + static_cast<std::ptrdiff_t>(*anchor_samples));
+    engine::PoolSweepExecutor helpers(*pool_, pool_->thread_count());
+    const core::CalibrationReport report = core::calibrate_antenna_robust(
+        prefix, session.config.center, session.config.calibration,
+        &engine::thread_workspace(), &helpers);
+    session.cal->install_anchor(prefix, report);
+  } catch (...) {
+    // A solver that cannot reproduce the anchor falls back to cold
+    // (every post-restore flush takes the batch path) — degraded,
+    // never wrong.
+    session.cal->reset();
   }
 }
 
@@ -1050,10 +1058,13 @@ void StreamService::run_request(SolveRequest& request) {
         report.diagnostics.message =
             "serve: request exceeded its deadline before solving";
       } else {
-        thread_local linalg::SolverWorkspace solver_ws;
+        // This worker is one of the pool's threads; the others may help
+        // with the sweep's cells while they are idle.
+        engine::PoolSweepExecutor helpers(*pool_, pool_->thread_count() - 1);
         report = core::calibrate_antenna_robust(
             request.samples, request.config.center,
-            request.config.calibration, &solver_ws);
+            request.config.calibration, &engine::thread_workspace(),
+            &helpers);
         cal_solved = true;
       }
       response =
@@ -1141,8 +1152,10 @@ void StreamService::run_request(SolveRequest& request) {
                       : "queue wait + solve exceeded slow_request_s",
             solve_end - request.enqueue_ns);
     }
+    // Notify before releasing mu_: once it is released, drain() may see
+    // outstanding_ == 0 and the service (cv_ included) may be destroyed.
+    cv_.notify_all();
   }
-  cv_.notify_all();
 }
 
 void StreamService::evict_idle(std::unique_lock<std::mutex>& lock) {

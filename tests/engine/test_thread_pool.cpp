@@ -136,5 +136,29 @@ TEST(ThreadPool, ManyWaitIdleCyclesReuseTheSamePool) {
   }
 }
 
+TEST(ThreadPool, WaitIdleCoversTasksSubmittedFromWorkers) {
+  // Sweep helpers are submitted from inside a running task. A child is
+  // counted as pending before its parent finishes, so wait_idle() cannot
+  // slip through between the two — on one worker (the child lands in the
+  // submitter's own queue) or several.
+  for (const std::size_t threads : {1u, 3u}) {
+    ThreadPool pool(threads);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 4; ++i) {
+      pool.submit([&pool, &ran] {
+        for (int c = 0; c < 3; ++c) {
+          pool.submit([&pool, &ran] {
+            pool.submit([&ran] { ran.fetch_add(1); });
+            ran.fetch_add(1);
+          });
+        }
+        ran.fetch_add(1);
+      });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(ran.load(), 4 + 4 * 3 + 4 * 3) << "threads=" << threads;
+  }
+}
+
 }  // namespace
 }  // namespace lion::engine
