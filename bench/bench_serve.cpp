@@ -423,104 +423,71 @@ int main(int argc, char** argv) {
       .value("latency_p99_ms", linalg::percentile(tick_ms, 99))
       .value("fallbacks", static_cast<double>(tick_fallbacks));
 
-  // --- calibrate flushes: full batch re-solve vs incremental `!flush`. -
+  // --- calibrate flushes: full batch re-solve vs memo `!flush`. -------
   //
-  // A long-lived calibrate session accumulates a clean row stream
-  // (declared smoothing=1 so appends never rewrite already-preprocessed
-  // samples); once a cold flush has installed an anchor, steady-state
-  // `!flush` requests answer from the incremental solver instead of
-  // re-running the weighted robust tournament. Four rows:
-  //   cal_full        5k rows, fresh session per flush -> cold full solve
-  //   cal_incr        5k rows, unchanged buffer -> memo tier (digest)
-  //   cal_full_1k     800 rows, fresh session per flush -> cold full solve
-  //   cal_incr_delta  800 rows, 1-row append per flush -> warm gated refine
-  // The warm row runs at 800 samples on purpose: past ~2k clean rows the
-  // residual distribution is dense enough that the consensus-threshold
-  // ambiguity band is never empty, so the drift gate (correctly) refuses
-  // the warm answer and the tier's cost never shows. The warm win is a
-  // modest constant factor (it skips the per-candidate LMedS tournament
-  // but still pays the exact batch refit — the price of bit-identity);
-  // the memo tier is the steady-state O(digest) answer and carries the
-  // headline speedup. CI gates the incremental rows' latency_p95_ms
-  // against BENCH_10.json.
+  // A calibrate `!flush` either replays the last full solve's report (the
+  // buffer is bitwise unchanged: the memo) or schedules the full robust
+  // pipeline. Two rows:
+  //   cal_full   5k rows, fresh session per flush -> full solve
+  //   cal_incr   5k rows, unchanged buffer -> memo (size + digest check)
+  // CI gates both rows' latency_p95_ms against BENCH_10.json.
   constexpr std::size_t kCalRows = 5000;
-  constexpr std::size_t kCalDeltaRows = 800;
   constexpr std::size_t kCalFullIters = 8;
   constexpr std::size_t kCalIncrFlushes = 100;
-  constexpr std::size_t kCalDeltaFlushes = 50;
   const auto cal_traj = rig.build();
   const Vec3 cal_center{0.009, 0.789, 0.006};
-  const auto cal_make_rows = [&](std::size_t n) {
-    std::vector<std::string> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double t = cal_traj.duration() * static_cast<double>(i) /
-                       static_cast<double>(n - 1);
-      const auto pos = cal_traj.position(t);
-      const double phase = rf::wrap_phase(
-          rf::distance_phase(linalg::distance(cal_center, pos)) + 2.1);
-      char buf[160];
-      std::snprintf(buf, sizeof buf, "%.17g,%.17g,%.17g,%.17g", pos[0],
-                    pos[1], pos[2], phase);
-      out.emplace_back(buf);
-    }
-    return out;
-  };
-  const auto cal_rows = cal_make_rows(kCalRows);
-  const auto cal_delta_rows = cal_make_rows(kCalDeltaRows + kCalDeltaFlushes);
-  std::size_t cal_memo = 0, cal_warm = 0, cal_cold = 0;
-  bool cal_last_warm = false;
+  std::vector<std::string> cal_rows;
+  cal_rows.reserve(kCalRows);
+  for (std::size_t i = 0; i < kCalRows; ++i) {
+    const double t = cal_traj.duration() * static_cast<double>(i) /
+                     static_cast<double>(kCalRows - 1);
+    const auto pos = cal_traj.position(t);
+    const double phase = rf::wrap_phase(
+        rf::distance_phase(linalg::distance(cal_center, pos)) + 2.1);
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%.17g,%.17g,%.17g,%.17g", pos[0], pos[1],
+                  pos[2], phase);
+    cal_rows.emplace_back(buf);
+  }
+  std::size_t cal_memo = 0, cal_cold = 0;
   const auto cal_count = [&](std::string_view line) {
     if (line.find("\"schema\":\"lion.report.v1\"") == std::string_view::npos) {
       return;
     }
-    cal_last_warm = false;
     if (line.find("\"source\":\"memo\"") != std::string_view::npos) {
       ++cal_memo;
-    } else if (line.find("\"source\":\"incremental\"") !=
-               std::string_view::npos) {
-      ++cal_warm;
-      cal_last_warm = true;
     } else {
       ++cal_cold;
     }
   };
-  const auto cal_full_solves = [&](const std::vector<std::string>& data,
-                                   std::size_t iters,
-                                   std::vector<double>& ms) {
+
+  std::vector<double> cal_full_ms, cal_incr_ms;
+  double cal_full_wall_s = 0.0;
+  {
     serve::StreamService svc(serve::ServiceConfig{}, cal_count);
-    for (std::size_t it = 0; it < iters; ++it) {
+    for (std::size_t it = 0; it < kCalFullIters; ++it) {
       const std::string id = "calf" + std::to_string(it);
       svc.ingest_line("!session " + id +
                       " center=0.009,0.789,0.006 smoothing=1");
-      for (const std::string& row : data) svc.ingest_line(row);
+      for (const std::string& row : cal_rows) svc.ingest_line(row);
     }
     svc.drain();
     bench::Timer run;
-    for (std::size_t it = 0; it < iters; ++it) {
+    for (std::size_t it = 0; it < kCalFullIters; ++it) {
       bench::Timer t;
       svc.ingest_line("!flush calf" + std::to_string(it));
       svc.drain();
-      ms.push_back(t.seconds() * 1e3);
+      cal_full_ms.push_back(t.seconds() * 1e3);
     }
-    const double wall = run.seconds();
+    cal_full_wall_s = run.seconds();
     svc.finish();
-    return wall;
-  };
-
-  std::vector<double> cal_full_ms, cal_full_1k_ms, cal_incr_ms, cal_delta_ms;
-  const double cal_full_wall_s =
-      cal_full_solves(cal_rows, kCalFullIters, cal_full_ms);
-  std::vector<std::string> cal_1k_prefix(
-      cal_delta_rows.begin(), cal_delta_rows.begin() + kCalDeltaRows);
-  const double cal_full_1k_wall_s =
-      cal_full_solves(cal_1k_prefix, kCalFullIters, cal_full_1k_ms);
+  }
   double cal_incr_wall_s = 0.0;
   {
     serve::StreamService svc(serve::ServiceConfig{}, cal_count);
     svc.ingest_line("!session cal center=0.009,0.789,0.006 smoothing=1");
     for (const std::string& row : cal_rows) svc.ingest_line(row);
-    svc.ingest_line("!flush cal");  // cold: full solve installs the anchor
+    svc.ingest_line("!flush cal");  // full solve installs the memo
     svc.drain();
     bench::Timer run;
     for (std::size_t p = 0; p < kCalIncrFlushes; ++p) {
@@ -532,57 +499,19 @@ int main(int argc, char** argv) {
     cal_incr_wall_s = run.seconds();
     svc.finish();
   }
-  double cal_delta_wall_s = 0.0;
-  std::size_t cal_delta_fallbacks = 0;
-  {
-    serve::StreamService svc(serve::ServiceConfig{}, cal_count);
-    svc.ingest_line("!session cal center=0.009,0.789,0.006 smoothing=1");
-    for (std::size_t i = 0; i < kCalDeltaRows; ++i) {
-      svc.ingest_line(cal_delta_rows[i]);
-    }
-    svc.ingest_line("!flush cal");  // cold: installs the anchor
-    svc.drain();
-    bench::Timer run;
-    for (std::size_t p = 0; p < kCalDeltaFlushes; ++p) {
-      bench::Timer t;
-      svc.ingest_line(cal_delta_rows[kCalDeltaRows + p]);
-      svc.ingest_line("!flush cal");
-      svc.drain();
-      // Gate-tripped flushes cost a full solve and would make the gated
-      // p95 bimodal; keep the row a warm-tier measurement and count the
-      // trips separately (the printed source tally keeps them visible).
-      if (cal_last_warm) {
-        cal_delta_ms.push_back(t.seconds() * 1e3);
-      } else {
-        ++cal_delta_fallbacks;
-      }
-    }
-    cal_delta_wall_s = run.seconds();
-    svc.finish();
-    if (cal_delta_ms.empty()) cal_delta_ms.push_back(0.0);
-  }
   const double cal_full_p95 = linalg::percentile(cal_full_ms, 95);
-  const double cal_full_1k_p95 = linalg::percentile(cal_full_1k_ms, 95);
   const double cal_incr_p95 = linalg::percentile(cal_incr_ms, 95);
-  const double cal_delta_p95 = linalg::percentile(cal_delta_ms, 95);
   std::printf(
-      "\ncalibrate flushes (incremental solver vs full pipeline):\n"
+      "\ncalibrate flushes (memo vs full pipeline):\n"
       "  %zu-row full solve [ms]: p50 %.3f, p95 %.3f, p99 %.3f\n"
       "  %zu-row memo flush [ms]: p50 %.4f, p95 %.4f, p99 %.4f (%.1fx at "
       "p95)\n"
-      "  %zu-row full solve [ms]: p50 %.3f, p95 %.3f, p99 %.3f\n"
-      "  %zu-row +1 flush   [ms]: p50 %.3f, p95 %.3f, p99 %.3f (%.1fx at "
-      "p95, %zu fallbacks)\n"
-      "  sources: %zu memo, %zu incremental, %zu fallback\n",
+      "  sources: %zu memo, %zu fallback\n",
       kCalRows, linalg::percentile(cal_full_ms, 50), cal_full_p95,
       linalg::percentile(cal_full_ms, 99), kCalRows,
       linalg::percentile(cal_incr_ms, 50), cal_incr_p95,
       linalg::percentile(cal_incr_ms, 99), cal_full_p95 / cal_incr_p95,
-      kCalDeltaRows, linalg::percentile(cal_full_1k_ms, 50), cal_full_1k_p95,
-      linalg::percentile(cal_full_1k_ms, 99), kCalDeltaRows,
-      linalg::percentile(cal_delta_ms, 50), cal_delta_p95,
-      linalg::percentile(cal_delta_ms, 99), cal_full_1k_p95 / cal_delta_p95,
-      cal_delta_fallbacks, cal_memo, cal_warm, cal_cold);
+      cal_memo, cal_cold);
   report.row("cal_full")
       .tag("build", "post")
       .value("threads", 0.0)
@@ -602,26 +531,6 @@ int main(int argc, char** argv) {
       .value("latency_p95_ms", cal_incr_p95)
       .value("latency_p99_ms", linalg::percentile(cal_incr_ms, 99))
       .value("speedup_p95", cal_full_p95 / cal_incr_p95);
-  report.row("cal_full_1k")
-      .tag("build", "post")
-      .value("threads", 0.0)
-      .value("window_rows", static_cast<double>(kCalDeltaRows))
-      .value("items_per_s",
-             static_cast<double>(kCalFullIters) / cal_full_1k_wall_s)
-      .value("latency_p50_ms", linalg::percentile(cal_full_1k_ms, 50))
-      .value("latency_p95_ms", cal_full_1k_p95)
-      .value("latency_p99_ms", linalg::percentile(cal_full_1k_ms, 99));
-  report.row("cal_incr_delta")
-      .tag("build", "post")
-      .value("threads", 0.0)
-      .value("window_rows", static_cast<double>(kCalDeltaRows))
-      .value("items_per_s",
-             static_cast<double>(kCalDeltaFlushes) / cal_delta_wall_s)
-      .value("latency_p50_ms", linalg::percentile(cal_delta_ms, 50))
-      .value("latency_p95_ms", cal_delta_p95)
-      .value("latency_p99_ms", linalg::percentile(cal_delta_ms, 99))
-      .value("speedup_p95", cal_full_1k_p95 / cal_delta_p95)
-      .value("fallbacks", static_cast<double>(cal_delta_fallbacks));
 
   // --- fleet ingest: sharded epoll front-end under a TCP fleet. --------
   // The server lives in this process so obs::process_* gauges measure the

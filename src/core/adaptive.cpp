@@ -39,6 +39,32 @@ struct CellSweep {
   std::exception_ptr failure;
 };
 
+/// The localizer configuration for one (range, interval) cell over the
+/// windowed profile `windowed`.
+LocalizerConfig adaptive_cell_config(const AdaptiveConfig& config,
+                                     double interval,
+                                     const signal::PhaseProfile& windowed) {
+  LocalizerConfig lc = config.base;
+  lc.pair_interval = interval;
+  // A fresh reference per window: the configured index refers to the
+  // full profile, which may be cropped away.
+  if (!lc.reference_index || *lc.reference_index >= windowed.size()) {
+    lc.reference_index = windowed.size() / 2;
+  }
+  return lc;
+}
+
+/// Per-candidate acceptance gate: enough equations, tolerable
+/// conditioning, finite position.
+bool adaptive_candidate_usable(const LocalizationResult& result,
+                               const AdaptiveConfig& config) {
+  return result.equations >= config.min_equations &&
+         result.condition <= config.max_condition &&
+         std::isfinite(result.position[0]) &&
+         std::isfinite(result.position[1]) &&
+         std::isfinite(result.position[2]);
+}
+
 /// Cell k = (range k / |intervals|, interval k % |intervals|), written to
 /// its own candidate slot. std::exception marks the cell unusable;
 /// anything else escapes to claim_cells.
@@ -84,30 +110,8 @@ void claim_cells(CellSweep& s, linalg::SolverWorkspace* ws, bool helper) {
   if (helper) LION_OBS_COUNT("adaptive.cells_offloaded", ran);
 }
 
-}  // namespace
-
-LocalizerConfig adaptive_cell_config(const AdaptiveConfig& config,
-                                     double interval,
-                                     const signal::PhaseProfile& windowed) {
-  LocalizerConfig lc = config.base;
-  lc.pair_interval = interval;
-  // A fresh reference per window: the configured index refers to the
-  // full profile, which may be cropped away.
-  if (!lc.reference_index || *lc.reference_index >= windowed.size()) {
-    lc.reference_index = windowed.size() / 2;
-  }
-  return lc;
-}
-
-bool adaptive_candidate_usable(const LocalizationResult& result,
-                               const AdaptiveConfig& config) {
-  return result.equations >= config.min_equations &&
-         result.condition <= config.max_condition &&
-         std::isfinite(result.position[0]) &&
-         std::isfinite(result.position[1]) &&
-         std::isfinite(result.position[2]);
-}
-
+/// The ranking/selection/averaging tail of the sweep, in cell order.
+/// Throws std::invalid_argument when no candidate is usable.
 AdaptiveResult finalize_adaptive_sweep(
     std::vector<AdaptiveCandidate> candidates, const AdaptiveConfig& config) {
   AdaptiveResult out;
@@ -146,6 +150,8 @@ AdaptiveResult finalize_adaptive_sweep(
   out.best_interval = usable.front()->interval;
   return out;
 }
+
+}  // namespace
 
 AdaptiveResult locate_adaptive(const signal::PhaseProfile& profile,
                                const AdaptiveConfig& config,

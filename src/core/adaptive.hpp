@@ -99,23 +99,4 @@ AdaptiveResult locate_adaptive(const signal::PhaseProfile& profile,
                                const AdaptiveConfig& config,
                                SweepExecutor* executor = nullptr);
 
-/// The localizer configuration locate_adaptive uses for one (range,
-/// interval) cell over the windowed profile `windowed` — shared with the
-/// incremental calibrate path so both evaluate identical systems.
-LocalizerConfig adaptive_cell_config(const AdaptiveConfig& config,
-                                     double interval,
-                                     const signal::PhaseProfile& windowed);
-
-/// locate_adaptive's per-candidate acceptance gate (enough equations,
-/// tolerable conditioning, finite position).
-bool adaptive_candidate_usable(const LocalizationResult& result,
-                               const AdaptiveConfig& config);
-
-/// The ranking/selection/averaging tail of locate_adaptive over an
-/// already-evaluated candidate list, exposed so the incremental calibrate
-/// path reproduces the exact selection order and averaging arithmetic.
-/// Throws std::invalid_argument when no candidate is usable.
-AdaptiveResult finalize_adaptive_sweep(std::vector<AdaptiveCandidate> candidates,
-                                       const AdaptiveConfig& config);
-
 }  // namespace lion::core

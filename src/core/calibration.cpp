@@ -114,17 +114,6 @@ CalibrationReport calibrate_antenna_robust(
     const std::vector<sim::PhaseSample>& samples, const Vec3& physical_center,
     const RobustCalibrationConfig& config, linalg::SolverWorkspace* workspace,
     SweepExecutor* executor) {
-  return calibrate_with_sweep(samples, physical_center, config, workspace,
-                              [executor](const signal::PhaseProfile& profile,
-                                         const AdaptiveConfig& cfg) {
-                                return locate_adaptive(profile, cfg, executor);
-                              });
-}
-
-CalibrationReport calibrate_with_sweep(
-    const std::vector<sim::PhaseSample>& samples, const Vec3& physical_center,
-    const RobustCalibrationConfig& config, linalg::SolverWorkspace* workspace,
-    const AdaptiveSweepFn& sweep) {
   LION_OBS_SPAN(obs::Stage::kCalibrate);
   CalibrationReport report;
   try {
@@ -169,7 +158,7 @@ CalibrationReport calibrate_with_sweep(
     bool degraded = false;
     if (scan_rank + 1 >= 3) {
       try {
-        AdaptiveResult r = sweep(profile, cfg3);
+        AdaptiveResult r = locate_adaptive(profile, cfg3, executor);
         CalibrationDiagnostics diag3;
         fill_sweep_diagnostics(r, diag3);
         if (diag3.condition <= config.max_condition) {
@@ -192,7 +181,7 @@ CalibrationReport calibrate_with_sweep(
       AdaptiveConfig cfg2 = cfg3;
       cfg2.base.target_dim = 2;
       try {
-        fix = sweep(profile, cfg2);
+        fix = locate_adaptive(profile, cfg2, executor);
         degraded = true;
         append_message(report.diagnostics,
                        "planar fallback used; z pinned to the believed "

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -143,25 +142,5 @@ CalibrationReport calibrate_antenna_robust(
     const RobustCalibrationConfig& config = {},
     linalg::SolverWorkspace* workspace = nullptr,
     SweepExecutor* executor = nullptr);
-
-/// The adaptive sweep a robust calibration runs for one attempt (3D, and
-/// possibly the 2D fallback). Receives the preprocessed profile and the
-/// fully-derived sweep config (target_dim, side hint, workspace already
-/// applied). Must behave like locate_adaptive: return a result or throw.
-using AdaptiveSweepFn = std::function<AdaptiveResult(
-    const signal::PhaseProfile&, const AdaptiveConfig&)>;
-
-/// calibrate_antenna_robust with the sweep injected: every other stage —
-/// preprocessing, degeneracy gating, the 3D->2D fallback ladder, the
-/// condition gate, diagnostics, and the Eq.-17 offset — is this shared
-/// code, so two calls whose sweeps return bit-identical results produce
-/// byte-identical reports. calibrate_antenna_robust passes
-/// locate_adaptive; the incremental calibrate solver passes its
-/// warm-started sweep. Exceptions not derived from std::exception escape
-/// (the incremental path's abort signal rides on that).
-CalibrationReport calibrate_with_sweep(
-    const std::vector<sim::PhaseSample>& samples, const Vec3& physical_center,
-    const RobustCalibrationConfig& config, linalg::SolverWorkspace* workspace,
-    const AdaptiveSweepFn& sweep);
 
 }  // namespace lion::core

@@ -123,9 +123,6 @@ LocalizationResult LinearLocalizer::locate_with_pairs(
       sol = std::move(rr.solution);
       oc.inlier_fraction = rr.inlier_fraction;
       oc.ws_holds_system = config_.workspace != nullptr;
-      oc.consensus = rr.consensus;
-      oc.consensus_scale = rr.scale;
-      oc.consensus_threshold = rr.threshold;
       break;
     }
   }
@@ -142,9 +139,6 @@ LocalizationResult LinearLocalizer::assemble_result(
 
   LocalizationResult out;
   out.inlier_fraction = inlier_fraction;
-  out.consensus = oc.consensus;
-  out.consensus_scale = oc.consensus_scale;
-  out.consensus_threshold = oc.consensus_threshold;
   out.equations = equations;
   out.trajectory_rank = frame.rank;
   out.condition = sys.a.rows() >= sys.a.cols()

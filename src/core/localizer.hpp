@@ -105,34 +105,6 @@ struct LocalizationResult {
   /// Scalar summary: the largest entry of `sigma` over the position
   /// coordinates (excludes d_r). Zero for a noise-free exact fit.
   double position_sigma = 0.0;
-
-  // Warm-start capture (not serialized into reports): consensus-solver
-  // internals the incremental calibrate path re-seeds and gates from.
-  /// False when the kRansac solve took the full-row robust fallback
-  /// (true for every non-RANSAC method, which trivially use all rows).
-  bool consensus = true;
-  /// LMedS robust scale of the winning consensus candidate (0 outside the
-  /// kRansac consensus branch) — the robust-scale drift gate's reference.
-  double consensus_scale = 0.0;
-  /// Inlier threshold the consensus mask was cut at (0 outside the
-  /// kRansac consensus branch).
-  double consensus_threshold = 0.0;
-};
-
-/// A caller-provided solve of a prepared system, handed to the shared
-/// result-assembly path. Mirrors exactly what the built-in solve switch in
-/// locate_with_pairs produces, so assemble_result() yields bit-identical
-/// results for an identical solve.
-struct SolveOutcome {
-  linalg::LstsqResult solution;
-  double inlier_fraction = 1.0;
-  /// True when `config().workspace` still caches exactly this system (its
-  /// product-cache gram then backs the GDOP covariance, bit-exact with
-  /// sys.a.gram()).
-  bool ws_holds_system = false;
-  bool consensus = true;
-  double consensus_scale = 0.0;
-  double consensus_threshold = 0.0;
 };
 
 /// The LION localizer.
@@ -154,28 +126,33 @@ class LinearLocalizer {
       const signal::PhaseProfile& profile,
       const std::vector<IndexPair>& pairs) const;
 
-  /// Build the exact linear system locate_with_pairs would solve — same
-  /// validation, frame analysis, reference choice, and build_system call,
-  /// with the same exceptions — without solving it. Exposed for the
-  /// incremental calibrate path, which substitutes its own warm solve.
+  const LocalizerConfig& config() const { return config_; }
+
+ private:
+  /// The solve of a prepared system, handed to assemble_result().
+  struct SolveOutcome {
+    linalg::LstsqResult solution;
+    double inlier_fraction = 1.0;
+    /// True when `config().workspace` still caches exactly this system
+    /// (its product-cache gram then backs the GDOP covariance, bit-exact
+    /// with sys.a.gram()).
+    bool ws_holds_system = false;
+  };
+
+  /// Validation, frame analysis, reference choice and build_system: the
+  /// linear system locate_with_pairs solves.
   LinearSystem prepare_system(const signal::PhaseProfile& profile,
                               const std::vector<IndexPair>& pairs,
                               TrajectoryFrame& frame) const;
 
-  /// The shared post-solve tail of locate_with_pairs: condition estimate,
-  /// GDOP covariance, and the perpendicular-coordinate recovery, assembled
-  /// from a caller-provided solve of a system built by prepare_system.
-  /// For a bit-identical solve outcome the result is bit-identical to
-  /// locate_with_pairs on the same inputs.
+  /// The post-solve tail of locate_with_pairs: condition estimate, GDOP
+  /// covariance, and the perpendicular-coordinate recovery.
   LocalizationResult assemble_result(const signal::PhaseProfile& profile,
                                      const TrajectoryFrame& frame,
                                      const LinearSystem& sys,
                                      std::size_t equations,
                                      const SolveOutcome& outcome) const;
 
-  const LocalizerConfig& config() const { return config_; }
-
- private:
   LocalizerConfig config_;
 };
 

@@ -43,8 +43,6 @@ void full_row_fallback_general(const linalg::Matrix& a,
   out.inlier_fraction = 1.0;
   out.iterations = iterations;
   out.consensus = false;
-  out.scale = 0.0;
-  out.threshold = 0.0;
 }
 
 void ransac_solve_general(const linalg::Matrix& a,
@@ -148,8 +146,6 @@ void ransac_solve_general(const linalg::Matrix& a,
   out.inlier_fraction = static_cast<double>(count) / static_cast<double>(n);
   out.iterations = evaluated;
   out.consensus = true;
-  out.scale = sigma;
-  out.threshold = threshold;
   LION_OBS_COUNT("ransac.consensus", 1);
   LION_OBS_HIST("ransac.inlier_fraction", obs::fraction_bounds(),
                 out.inlier_fraction);
@@ -165,7 +161,23 @@ void ransac_solve_general(const linalg::Matrix& a,
 void full_row_fallback_ws(linalg::SolverWorkspace& ws,
                           const RansacOptions& options,
                           std::size_t iterations, RansacResult& out) {
-  ransac_full_row_fallback(ws, options, iterations, out);
+  LION_OBS_COUNT("ransac.fallbacks", 1);
+  linalg::IrlsOptions irls = options.irls;
+  irls.loss = options.refit_loss;
+  const SolveStatus st =
+      linalg::solve_irls_masked(ws, nullptr, ws.rows(), irls, out.solution);
+  // The classic fallback lets solver failures propagate to the caller;
+  // re-raise the same exceptions it would.
+  if (st == SolveStatus::kUnderdetermined) {
+    throw std::domain_error("least squares: underdetermined system");
+  }
+  if (st != SolveStatus::kOk) {
+    throw std::domain_error("HouseholderQR::solve: rank deficient");
+  }
+  out.inlier_mask.assign(ws.rows(), 1);
+  out.inlier_fraction = 1.0;
+  out.iterations = iterations;
+  out.consensus = false;
 }
 
 // One fused pass over the full system for a candidate x: residuals into
@@ -355,38 +367,12 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
   out.inlier_fraction = static_cast<double>(count) / static_cast<double>(n);
   out.iterations = evaluated;
   out.consensus = true;
-  out.scale = sigma;
-  out.threshold = threshold;
   LION_OBS_COUNT("ransac.consensus", 1);
   LION_OBS_HIST("ransac.inlier_fraction", obs::fraction_bounds(),
                 out.inlier_fraction);
 }
 
 }  // namespace
-
-void ransac_full_row_fallback(linalg::SolverWorkspace& ws,
-                              const RansacOptions& options,
-                              std::size_t iterations, RansacResult& out) {
-  LION_OBS_COUNT("ransac.fallbacks", 1);
-  linalg::IrlsOptions irls = options.irls;
-  irls.loss = options.refit_loss;
-  const SolveStatus st =
-      linalg::solve_irls_masked(ws, nullptr, ws.rows(), irls, out.solution);
-  // The classic fallback lets solver failures propagate to the caller;
-  // re-raise the same exceptions it would.
-  if (st == SolveStatus::kUnderdetermined) {
-    throw std::domain_error("least squares: underdetermined system");
-  }
-  if (st != SolveStatus::kOk) {
-    throw std::domain_error("HouseholderQR::solve: rank deficient");
-  }
-  out.inlier_mask.assign(ws.rows(), 1);
-  out.inlier_fraction = 1.0;
-  out.iterations = iterations;
-  out.consensus = false;
-  out.scale = 0.0;
-  out.threshold = 0.0;
-}
 
 void ransac_solve(const linalg::Matrix& a, const std::vector<double>& b,
                   const RansacOptions& options, linalg::SolverWorkspace& ws,

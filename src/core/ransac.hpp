@@ -46,14 +46,6 @@ struct RansacResult {
   /// True when a consensus set was found; false when sampling failed and
   /// `solution` is the full-row robust-IRLS fallback.
   bool consensus = false;
-  /// LMedS robust scale of the winning candidate (small-sample-corrected
-  /// 1.4826 * sqrt(median r^2)); 0 on the full-row fallback. Captured so
-  /// warm-start callers can gate on robust-scale drift between solves.
-  double scale = 0.0;
-  /// Inlier threshold the consensus mask was cut at (derived 2.5 * scale
-  /// with the 1e-12 floor, or the caller's absolute threshold); 0 on the
-  /// full-row fallback.
-  double threshold = 0.0;
 };
 
 /// Solve A x = b by LMedS consensus sampling + robust refit. Requires
@@ -92,14 +84,5 @@ void ransac_solve_warm(const linalg::Matrix& a, const std::vector<double>& b,
                        linalg::SolverWorkspace& ws,
                        const std::vector<char>& prior_inliers,
                        RansacResult& out);
-
-/// The consensus path's full-row fallback, exposed for warm-path callers
-/// that must reproduce the batch branch bit-for-bit: a Huber-IRLS (per
-/// `options.refit_loss`) over every row already loaded into `ws`, with the
-/// classic solver's exceptions re-raised on failure. `iterations` is
-/// recorded verbatim in the result.
-void ransac_full_row_fallback(linalg::SolverWorkspace& ws,
-                              const RansacOptions& options,
-                              std::size_t iterations, RansacResult& out);
 
 }  // namespace lion::core

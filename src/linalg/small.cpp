@@ -246,7 +246,6 @@ void IncrementalNormals::reset(std::size_t cols) {
   for (std::size_t i = 0; i < kSmallMaxCols; ++i) c_[i] = 0.0;
   kk_ = 0.0;
   added_diag_ = 0.0;
-  wsum_ = 0.0;
 }
 
 void IncrementalNormals::append(const double* a, double k) {
@@ -257,7 +256,6 @@ void IncrementalNormals::append(const double* a, double k) {
     added_diag_ += a[i] * a[i];
   }
   kk_ += k * k;
-  wsum_ += 1.0;
   ++n_;
 }
 
@@ -270,87 +268,7 @@ void IncrementalNormals::downdate(const double* a, double k) {
     c_[i] -= a[i] * k;
   }
   kk_ -= k * k;
-  wsum_ -= 1.0;
   if (n_ > 0) --n_;
-}
-
-void IncrementalNormals::append_weighted(const double* a, double k, double w) {
-  // Legacy weighted-gram term order: (w * a_i) * a_j and a_i * (w * k),
-  // matching accumulate_weighted_masked / Matrix::weighted_gram.
-  const double wk = w * k;
-  double wa[kSmallMaxCols];
-  for (std::size_t i = 0; i < p_; ++i) wa[i] = w * a[i];
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < p_; ++i) {
-    for (std::size_t j = i; j < p_; ++j) g_[idx++] += wa[i] * a[j];
-    c_[i] += a[i] * wk;
-    added_diag_ += std::abs(wa[i] * a[i]);
-  }
-  kk_ += wk * k;
-  wsum_ += w;
-  ++n_;
-}
-
-void IncrementalNormals::downdate_weighted(const double* a, double k,
-                                           double w) {
-  const double wk = w * k;
-  double wa[kSmallMaxCols];
-  for (std::size_t i = 0; i < p_; ++i) wa[i] = w * a[i];
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < p_; ++i) {
-    for (std::size_t j = i; j < p_; ++j) g_[idx++] -= wa[i] * a[j];
-    c_[i] -= a[i] * wk;
-  }
-  kk_ -= wk * k;
-  wsum_ -= w;
-  if (n_ > 0) --n_;
-}
-
-void IncrementalNormals::reweight(const double* a, double k, double w_old,
-                                  double w_new) {
-  // Per entry: subtract the w_old product, then add the w_new product —
-  // the exact per-entry add sequence of downdate_weighted(a, k, w_old)
-  // followed by append_weighted(a, k, w_new), fused into one pass. The
-  // row count is untouched; the new diagonal mass still counts toward the
-  // cancellation ratio.
-  const double wk_old = w_old * k;
-  const double wk_new = w_new * k;
-  double wa_old[kSmallMaxCols];
-  double wa_new[kSmallMaxCols];
-  for (std::size_t i = 0; i < p_; ++i) {
-    wa_old[i] = w_old * a[i];
-    wa_new[i] = w_new * a[i];
-  }
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < p_; ++i) {
-    for (std::size_t j = i; j < p_; ++j) {
-      g_[idx] -= wa_old[i] * a[j];
-      g_[idx] += wa_new[i] * a[j];
-      ++idx;
-    }
-    c_[i] -= a[i] * wk_old;
-    c_[i] += a[i] * wk_new;
-    added_diag_ += std::abs(wa_new[i] * a[i]);
-  }
-  kk_ -= wk_old * k;
-  kk_ += wk_new * k;
-  wsum_ -= w_old;
-  wsum_ += w_new;
-}
-
-double IncrementalNormals::weighted_rss(const double* x) const {
-  if (n_ == 0) return 0.0;
-  double xgx = 0.0;
-  double xc = 0.0;
-  std::size_t idx = 0;
-  for (std::size_t i = 0; i < p_; ++i) {
-    for (std::size_t j = i; j < p_; ++j) {
-      const double term = g_[idx++] * x[i] * x[j];
-      xgx += i == j ? term : 2.0 * term;
-    }
-    xc += x[i] * c_[i];
-  }
-  return std::max(0.0, xgx - 2.0 * xc + kk_);
 }
 
 bool IncrementalNormals::solve(double* x) const {

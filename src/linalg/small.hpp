@@ -180,35 +180,6 @@ class IncrementalNormals {
   /// Remove a previously appended row. Requires rows() > 0.
   void downdate(const double* a, double k);
 
-  /// Weighted rank-1 update: G += w a a^T, c += a (w k), kk += (w k) k.
-  /// Keeps the legacy weighted-gram multiplication order ((w * a_i) * a_j
-  /// and a_c * (w * k), the accumulate_weighted_masked order) so a gram
-  /// assembled by weighted appends in row order is bit-exact with
-  /// Matrix::weighted_gram on the materialized system. append(a, k) and
-  /// append_weighted(a, k, 1.0) differ in rounding (the unweighted form
-  /// has no multiply by w); callers must not mix them for the same rows.
-  void append_weighted(const double* a, double k, double w);
-  /// Remove a previously weight-appended row: subtracts exactly the
-  /// products append_weighted(a, k, w) added. Requires rows() > 0.
-  void downdate_weighted(const double* a, double k, double w);
-  /// Re-weight a resident row in place without rebuilding: per entry,
-  /// subtract the w_old product then add the w_new product — bit-identical
-  /// to downdate_weighted(a, k, w_old) followed by append_weighted(a, k,
-  /// w_new), in one O(p^2) pass, without touching rows(). The new mass
-  /// still counts toward cancellation() (traffic is monotone), so long
-  /// re-weight chains trip the rebuild gate like append/downdate chains.
-  void reweight(const double* a, double k, double w_old, double w_new);
-
-  /// Accumulated weight mass: sum of w over live rows, counting each
-  /// unweighted append/downdate as w = 1.
-  double weight_sum() const { return wsum_; }
-
-  /// Weighted residual sum of squares sum_i w_i r_i^2 of `x` over the
-  /// accumulated rows, from the maintained quantities only (valid when the
-  /// accumulator was built with the weighted mutators). Cancellation can
-  /// push the quadratic form slightly negative; it is clamped at zero.
-  double weighted_rss(const double* x) const;
-
   /// Solve G x = c by the small Cholesky kernel; false when the
   /// accumulated gram is not SPD (degenerate or downdated-to-noise).
   bool solve(double* x) const;
@@ -237,7 +208,6 @@ class IncrementalNormals {
   double c_[kSmallMaxCols] = {};
   double kk_ = 0.0;          ///< sum of k^2 over live rows
   double added_diag_ = 0.0;  ///< diagonal mass ever appended (monotone)
-  double wsum_ = 0.0;        ///< weight mass over live rows
 };
 
 /// g += sum of cached outer products of `rows[0..m)` (in that order) and

@@ -71,7 +71,7 @@ enum class JournalRecordType : std::uint8_t {
   kFlush = 4,       ///< flush boundary (line empty)
   kPoseTick = 5,    ///< pose tick emitted for this session (line empty)
   kCalFlush = 6,    ///< calibrate flush decided (line empty)
-  kCalAnchor = 7,   ///< incremental-cal anchor installed; line = decimal
+  kCalAnchor = 7,   ///< calibrate flush memo installed; line = decimal
                     ///< sample count the anchoring batch solve consumed
 };
 

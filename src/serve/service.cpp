@@ -405,10 +405,10 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
 
 void StreamService::replay_records(StreamSession& session,
                                    const RecoveredSession& rec) {
-  // Sample-count prefix of the last replayable kCalAnchor. install_anchor
-  // replaces the whole anchor state, so re-solving only the last anchor
-  // restores exactly what re-solving every one in order would — at one
-  // solve per restore, however many flushes the session has seen.
+  // Sample-count prefix of the last replayable kCalAnchor. Each install
+  // replaces the whole memo, so re-solving only the last anchor restores
+  // exactly what re-solving every one in order would — at one solve per
+  // restore, however many flushes the session has seen.
   std::optional<std::size_t> anchor_samples;
   for (const JournalRecord& record : rec.records) {
     switch (record.type) {
@@ -444,9 +444,9 @@ void StreamService::replay_records(StreamSession& session,
       case JournalRecordType::kCalFlush:
         // The report was delivered before the crash, and a calibrate
         // flush never carves the buffer — only the flush count advances.
-        // Anchor state replays from kCalAnchor records alone: a memo or
-        // warm decision leaves the solver untouched by contract, and a
-        // fallback's install was journaled separately when it completed.
+        // The memo replays from kCalAnchor records alone: a memo answer
+        // leaves it untouched, and a fallback's install was journaled
+        // separately when its solve completed.
         ++session.flushes;
         break;
       case JournalRecordType::kCalAnchor: {
@@ -461,12 +461,10 @@ void StreamService::replay_records(StreamSession& session,
     }
   }
   if (!anchor_samples) return;
-  ensure_cal_solver(session);
-  if (!session.cal) return;
   // Re-run the batch solve the live path ran, over the recorded prefix
   // (the buffer only grows, so the prefix is the one the anchor saw) —
-  // the pipeline is deterministic, so the restored anchor (digest, report
-  // bytes, per-candidate warm state) is identical to the pre-crash one.
+  // the pipeline is deterministic, so the restored memo (digest and
+  // report bytes) is identical to the pre-crash one.
   // This thread is not a pool worker, so every pool thread may help.
   LION_OBS_COUNT("serve.replay_solves", 1);
   try {
@@ -474,15 +472,13 @@ void StreamService::replay_records(StreamSession& session,
         session.buffer.begin(),
         session.buffer.begin() + static_cast<std::ptrdiff_t>(*anchor_samples));
     engine::PoolSweepExecutor helpers(*pool_, pool_->thread_count());
-    const core::CalibrationReport report = core::calibrate_antenna_robust(
-        prefix, session.config.center, session.config.calibration,
-        &engine::thread_workspace(), &helpers);
-    session.cal->install_anchor(prefix, report);
+    session.memo.install(
+        prefix, core::calibrate_antenna_robust(
+                    prefix, session.config.center, session.config.calibration,
+                    &engine::thread_workspace(), &helpers));
   } catch (...) {
-    // A solver that cannot reproduce the anchor falls back to cold
-    // (every post-restore flush takes the batch path) — degraded,
-    // never wrong.
-    session.cal->reset();
+    // A memo that cannot be rebuilt stays empty: every post-restore
+    // flush takes the full solve — degraded, never wrong.
   }
 }
 
@@ -720,14 +716,14 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
   if (again == sessions_.end()) return false;
   if (again->second.config.mode == SessionMode::kCalibrate &&
       !cfg_.reject_when_busy) {
-    // Decision determinism: the anchor visible to this flush must be a
-    // function of the input lines alone, and anchors are installed by
-    // pool workers when a full solve completes. Waiting out the session's
-    // own pending solves pins the decision; the reorder buffer already
-    // queues this flush's response behind theirs, so the wait adds no
-    // output latency. Reject mode trades exactly this class of timing
+    // Decision determinism: the memo visible to this flush must be a
+    // function of the input lines alone, and memos are installed by pool
+    // workers when a full solve completes. Waiting out the session's own
+    // pending solves pins the decision; the reorder buffer already queues
+    // this flush's response behind theirs, so the wait adds no output
+    // latency. Reject mode trades exactly this class of timing
     // sensitivity for never blocking ingest — there the decision runs
-    // against whatever anchor is installed right now.
+    // against whatever memo is installed right now.
     cv_.wait(lock, [this, &id] {
       const auto it = sessions_.find(id);
       return it == sessions_.end() || it->second.in_flight == 0;
@@ -739,27 +735,22 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
   if (session.config.mode == SessionMode::kCalibrate) {
     // The buffer is cumulative: flush solves everything seen so far and
     // keeps accepting — exactly the batch pipeline over the same rows.
-    // The incremental tier (anchor-digest memo + warm-started sweep)
-    // answers inline on the ingest thread when its gates hold — the
-    // decision is deterministic and allocation-light, so it stays inside
-    // the sequenced section like a pose tick. Any decline schedules the
-    // full batch solve; its completion installs the session's next
-    // anchor (and journals kCalAnchor) in run_request.
-    ensure_cal_solver(session);
-    core::CalFlushDecision decision;
+    // An unchanged buffer replays the last full solve's report inline
+    // (the pipeline is deterministic, so it is the batch answer); any
+    // other buffer schedules the full solve, whose completion installs
+    // the session's next memo (and journals kCalAnchor) in run_request.
+    ++stats_.cal_flushes;
     const std::uint64_t solve_start = obs::trace_now_ns();
-    if (session.cal) decision = session.cal->flush(session.buffer);
-    count_cal_decision(decision);
-    if (decision.report_ready) {
+    if (session.memo.matches(session.buffer)) {
       record_span(session, current_trace_id(), obs::Stage::kServeSolve,
                   solve_start, obs::trace_now_ns());
+      ++stats_.cal_memo;
       ++stats_.reports;
       ++session.requests;
       const std::uint64_t seq = reserve_seq();
       std::string response =
-          report_response(id, seq, decision.report,
-                          core::cal_flush_source_name(decision.source));
-      // Same durability boundary as the scheduled path: the decision is
+          report_response(id, seq, session.memo.report, "memo");
+      // Same durability boundary as the scheduled path: the flush is
       // journaled and fsynced before the ack leaves the service.
       journal_append(session, JournalRecordType::kCalFlush, "");
       if (session.journal && !session.journal_degraded) {
@@ -771,10 +762,7 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
       emit(seq, std::move(response), current_origin_);
       return true;
     }
-    if (!decision.detail.empty()) {
-      event(obs::Severity::kInfo, "cal_fallback", id, decision.detail,
-            session.buffer.size());
-    }
+    ++stats_.cal_fallbacks;
     SolveRequest request;
     request.session = id;
     request.mode = session.config.mode;
@@ -816,69 +804,6 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
                 sync_start, obs::trace_now_ns());
   }
   return true;
-}
-
-void StreamService::ensure_cal_solver(StreamSession& session) {
-  if (session.cal || session.config.mode != SessionMode::kCalibrate) return;
-  try {
-    core::IncrementalCalConfig cal_cfg;
-    cal_cfg.physical_center = session.config.center;
-    cal_cfg.calibration = session.config.calibration;
-    session.cal =
-        std::make_unique<core::IncrementalCalibrationSolver>(cal_cfg);
-  } catch (...) {
-    // A session without a solver still serves: every flush takes the
-    // batch path (counted as a cold fallback), nothing is silently lost.
-    session.cal.reset();
-  }
-}
-
-void StreamService::count_cal_decision(
-    const core::CalFlushDecision& decision) {
-  ++stats_.cal_flushes;
-  LION_OBS_COUNT("serve.cal_flushes", 1);
-  switch (decision.source) {
-    case core::CalFlushSource::kMemo:
-      ++stats_.cal_memo;
-      LION_OBS_COUNT("serve.cal_memo", 1);
-      return;
-    case core::CalFlushSource::kIncremental:
-      ++stats_.cal_incremental;
-      LION_OBS_COUNT("serve.cal_incremental", 1);
-      return;
-    case core::CalFlushSource::kFallback:
-      break;
-  }
-  ++stats_.cal_fallbacks;
-  LION_OBS_COUNT("serve.cal_fallbacks", 1);
-  switch (decision.reason) {
-    case core::CalFallbackReason::kNone:
-      break;
-    case core::CalFallbackReason::kCold:
-      ++stats_.cal_fb_cold;
-      break;
-    case core::CalFallbackReason::kStatus:
-      ++stats_.cal_fb_status;
-      break;
-    case core::CalFallbackReason::kCarve:
-      ++stats_.cal_fb_carve;
-      break;
-    case core::CalFallbackReason::kDelta:
-      ++stats_.cal_fb_delta;
-      break;
-    case core::CalFallbackReason::kRows:
-      ++stats_.cal_fb_rows;
-      break;
-    case core::CalFallbackReason::kDrift:
-      ++stats_.cal_fb_drift;
-      break;
-    case core::CalFallbackReason::kCancellation:
-      ++stats_.cal_fb_cancellation;
-      break;
-    case core::CalFallbackReason::kSweep:
-      ++stats_.cal_fb_sweep;
-      break;
-  }
 }
 
 void StreamService::handle_pose_tick(std::unique_lock<std::mutex>& lock,
@@ -1042,9 +967,8 @@ void StreamService::run_request(SolveRequest& request) {
   bool failed = false;
   std::string response;
   // A completed calibrate flush carries its report out of the try block:
-  // the accounting pass installs it as the session's next incremental
-  // anchor (never on timeout — a deadline report is not the batch answer
-  // for these rows and would poison the memo tier).
+  // the accounting pass installs it as the session's next memo (never on
+  // timeout — a deadline report is not the batch answer for these rows).
   core::CalibrationReport cal_report;
   bool cal_solved = false;
   const std::uint64_t solve_start = obs::trace_now_ns();
@@ -1120,15 +1044,13 @@ void StreamService::run_request(SolveRequest& request) {
       StreamSession& session = it->second;
       if (request.cal_flush && cal_solved && !failed) {
         // Adopt-before-decide: the session kept accepting while this
-        // solve ran, so the anchor is installed over the request's row
+        // solve ran, so the memo is installed over the request's row
         // snapshot (append-only buffers make any same-or-larger later
-        // anchor a superset — never regress to an older one when two
+        // memo a superset — never regress to an older one when two
         // fallback solves complete out of order).
-        ensure_cal_solver(session);
-        if (session.cal &&
-            (!session.cal->has_anchor() ||
-             request.samples.size() > session.cal->anchor_samples())) {
-          session.cal->install_anchor(request.samples, cal_report);
+        if (!session.memo.valid ||
+            request.samples.size() > session.memo.samples) {
+          session.memo.install(request.samples, std::move(cal_report));
           journal_append(session, JournalRecordType::kCalAnchor,
                          std::to_string(request.samples.size()));
         }
@@ -1222,16 +1144,7 @@ void StreamService::emit_stats_response() {
   field("tick_fallbacks", stats_.tick_fallbacks);
   field("cal_flushes", stats_.cal_flushes);
   field("cal_memo", stats_.cal_memo);
-  field("cal_incremental", stats_.cal_incremental);
   field("cal_fallbacks", stats_.cal_fallbacks);
-  field("cal_fb_cold", stats_.cal_fb_cold);
-  field("cal_fb_status", stats_.cal_fb_status);
-  field("cal_fb_carve", stats_.cal_fb_carve);
-  field("cal_fb_delta", stats_.cal_fb_delta);
-  field("cal_fb_rows", stats_.cal_fb_rows);
-  field("cal_fb_drift", stats_.cal_fb_drift);
-  field("cal_fb_cancellation", stats_.cal_fb_cancellation);
-  field("cal_fb_sweep", stats_.cal_fb_sweep);
   field("ticks", clock_ticks_);
   if (cfg_.shard_count > 1) {
     // Sharded servers answer !stats once per shard; the annotation lets a
@@ -1288,7 +1201,6 @@ void StreamService::emit_health_response() {
   field("tick_fallbacks", stats_.tick_fallbacks);
   field("cal_flushes", stats_.cal_flushes);
   field("cal_memo", stats_.cal_memo);
-  field("cal_incremental", stats_.cal_incremental);
   field("cal_fallbacks", stats_.cal_fallbacks);
   out += ",\"journal_enabled\":";
   out += cfg_.journal != nullptr ? "true" : "false";
@@ -1327,9 +1239,8 @@ void StreamService::emit_health_response() {
       out, all_ticks == 0 ? 0.0
                           : static_cast<double>(stats_.tick_fallbacks) /
                                 static_cast<double>(all_ticks));
-  // Same story for calibrate flushes: a rising ratio means the warm
-  // tier's gates are tripping and `!flush` is paying full batch cost —
-  // the per-reason cal_fb_* split in `!stats` says which gate.
+  // Same story for calibrate flushes: the share of `!flush` requests
+  // that found the buffer changed and paid for a full solve.
   out += ",\"cal_fallback_ratio\":";
   obs::append_json_number(
       out, stats_.cal_flushes == 0

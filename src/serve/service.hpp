@@ -167,22 +167,13 @@ struct ServeStats {
   std::uint64_t journal_errors = 0;  ///< sessions degraded by I/O failure
   std::uint64_t pose_ticks = 0;      ///< lion.tick.v1 responses (both paths)
   std::uint64_t tick_fallbacks = 0;  ///< pose ticks routed to the full solve
-  /// Calibrate-flush decision counters (PR 10). cal_flushes =
-  /// cal_memo + cal_incremental + cal_fallbacks; the per-reason cal_fb_*
-  /// split explains *why* the warm tier declined (see
-  /// core::CalFallbackReason for the gate each one names).
+  /// Calibrate flushes: cal_flushes = cal_memo + cal_fallbacks (memo
+  /// replays the last report; a fallback schedules the full solve).
+  /// /metrics renders these fields, so they have no registry twin: two
+  /// sources would print each family twice.
   std::uint64_t cal_flushes = 0;
   std::uint64_t cal_memo = 0;
-  std::uint64_t cal_incremental = 0;
   std::uint64_t cal_fallbacks = 0;
-  std::uint64_t cal_fb_cold = 0;
-  std::uint64_t cal_fb_status = 0;
-  std::uint64_t cal_fb_carve = 0;
-  std::uint64_t cal_fb_delta = 0;
-  std::uint64_t cal_fb_rows = 0;
-  std::uint64_t cal_fb_drift = 0;
-  std::uint64_t cal_fb_cancellation = 0;
-  std::uint64_t cal_fb_sweep = 0;
   std::uint64_t ticks = 0;           ///< virtual clock now
   std::size_t sessions = 0;          ///< live sessions
 };
@@ -311,9 +302,9 @@ class StreamService {
     /// (the response is a lion.tick.v1 line, not a lion.fix.v1 line).
     std::uint64_t window_index = 0;
     bool pose_tick = false;
-    /// Calibrate flush that fell through the incremental tier: the
-    /// completed full solve installs the session's new anchor (and
-    /// journals kCalAnchor) in run_request's accounting block.
+    /// Calibrate flush the memo could not answer: the completed full
+    /// solve installs the session's new memo (and journals kCalAnchor) in
+    /// run_request's accounting block.
     bool cal_flush = false;
     double enqueue_time = 0.0;
     std::uint64_t trace_id = 0;    ///< the ingest line that scheduled this
@@ -331,12 +322,6 @@ class StreamService {
   /// Returns true iff a solve was scheduled (false: unknown session,
   /// busy-rejected, or the session vanished while blocked).
   bool handle_flush(std::unique_lock<std::mutex>& lock, const std::string& id);
-  /// Lazily construct a calibrate session's incremental flush solver
-  /// (never throws; a failed construction leaves `cal` null and every
-  /// flush on the batch path). Callers hold mu_.
-  void ensure_cal_solver(StreamSession& session);
-  /// Count one calibrate-flush decision into stats_ (and the obs plane).
-  void count_cal_decision(const core::CalFlushDecision& decision);
   /// `!tick <id>`: answer from the session's incremental solver when its
   /// residual gate passes, else schedule a full-pipeline window solve on
   /// the pool (same bytes either way: one lion.tick.v1 line per tick).

@@ -1,5 +1,8 @@
 #include "serve/session.hpp"
 
+#include <cstring>
+#include <utility>
+
 #include "io/report_json.hpp"
 #include "obs/json.hpp"
 
@@ -121,6 +124,44 @@ core::TrackFix solve_track_window(
     fix.valid = false;
   }
   return fix;
+}
+
+std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix64 = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffULL;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mixd = [&mix64](double d) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    mix64(bits);
+  };
+  for (const auto& s : buffer) {
+    mixd(s.t);
+    mixd(s.position[0]);
+    mixd(s.position[1]);
+    mixd(s.position[2]);
+    mixd(s.phase);
+    mixd(s.rssi_dbm);
+    mix64(s.channel);
+  }
+  return h;
+}
+
+void CalMemo::install(const std::vector<sim::PhaseSample>& buffer,
+                      core::CalibrationReport solved) {
+  valid = true;
+  samples = buffer.size();
+  digest = cal_buffer_digest(buffer);
+  report = std::move(solved);
+}
+
+bool CalMemo::matches(const std::vector<sim::PhaseSample>& buffer) const {
+  return valid && buffer.size() == samples &&
+         cal_buffer_digest(buffer) == digest;
 }
 
 std::string report_response(const std::string& session, std::uint64_t seq,

@@ -18,7 +18,6 @@
 
 #include "core/calibration.hpp"
 #include "core/incremental.hpp"
-#include "core/incremental_cal.hpp"
 #include "core/tracker.hpp"
 #include "io/csv.hpp"
 #include "obs/obs.hpp"
@@ -72,6 +71,30 @@ bool make_session_config(const ParsedLine& line, SessionConfig& out,
 /// the IncrementalTrackConfig defaults.
 core::IncrementalTrackConfig incremental_config(const SessionConfig& config);
 
+/// Order-dependent FNV-1a digest of every sample field's bit pattern, so
+/// -0.0 vs 0.0 and NaN payloads count as changes: the memo never equates
+/// buffers the solver could tell apart.
+std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer);
+
+/// A calibrate session's flush memo. The solve pipeline is deterministic,
+/// so while the buffer is bitwise the one `report` was solved over, that
+/// report IS the answer to a `!flush`, whatever its status. It advances
+/// only when a full solve completes (journaled as kCalAnchor), so journal
+/// replay rebuilds it by re-solving the recorded sample-count prefix.
+struct CalMemo {
+  bool valid = false;
+  std::size_t samples = 0;  ///< buffer size the report was solved over
+  std::uint64_t digest = 0;  ///< cal_buffer_digest of that buffer
+  core::CalibrationReport report;
+
+  /// Adopt the report of a full solve over exactly `buffer`.
+  void install(const std::vector<sim::PhaseSample>& buffer,
+               core::CalibrationReport solved);
+  /// True when `buffer` is bitwise the solved one: same size, same digest.
+  /// The digest also catches a carved or mutated buffer of equal size.
+  bool matches(const std::vector<sim::PhaseSample>& buffer) const;
+};
+
 /// One demultiplexed stream.
 struct StreamSession {
   std::string id;
@@ -101,13 +124,9 @@ struct StreamSession {
   std::unique_ptr<core::IncrementalTrackSolver> incremental;
   std::uint64_t ticks_emitted = 0;  ///< pose ticks answered (both paths)
 
-  /// Calibrate mode: the per-session incremental flush solver (memo +
-  /// warm-started sweep, PR 10). Created lazily on the first `!flush`;
-  /// its anchor advances only when a *full* batch solve completes
-  /// (journaled as kCalAnchor), so replay rebuilds identical state by
-  /// re-running the batch solve over the recorded sample-count prefix.
-  /// Null for track sessions.
-  std::unique_ptr<core::IncrementalCalibrationSolver> cal;
+  /// Calibrate mode: the last completed full solve, answered again while
+  /// the buffer is unchanged (see CalMemo).
+  CalMemo memo;
 
   /// Durability (journal-enabled services only). `journal` appends one
   /// record per applied mutation; a write failure latches
@@ -145,12 +164,9 @@ core::TrackFix solve_track_window(
 // ---------------------------------------------------------------------------
 
 /// `!flush` answer for a calibrate session (lion.report.v1). `source` is
-/// "memo" when the buffer digest still matched the anchor snapshot,
-/// "incremental" when the warm-started sweep passed every gate, and
-/// "fallback" when the full batch pipeline ran; all three serialize
-/// through this one function so the bytes differ only in the tag (and
-/// the fallback tag marks the report the other two must match byte for
-/// byte — the conformance contract of the incremental tier).
+/// "memo" when the buffer still matched the last full solve's (CalMemo)
+/// and "fallback" when the full batch pipeline ran; both serialize
+/// through this one function, so the bytes differ only in the tag.
 std::string report_response(const std::string& session, std::uint64_t seq,
                             const core::CalibrationReport& report,
                             const char* source);

@@ -118,12 +118,7 @@ std::string render_metrics_body(const std::vector<ServiceTelemetry>& services,
   // 3. Aggregate serve gauges across every live connection's service.
   double sessions = 0, reorder_hwm = 0, journal_lag = 0, journal_degraded = 0;
   double restores = 0, tick_fallbacks = 0, pose_ticks = 0;
-  double cal_flushes = 0, cal_memo = 0, cal_incremental = 0;
-  double cal_fallbacks = 0;
-  constexpr const char* kCalReasons[] = {"cold", "status",       "carve",
-                                         "delta", "rows",        "drift",
-                                         "cancellation", "sweep"};
-  double cal_fb[8] = {};
+  double cal_flushes = 0, cal_memo = 0, cal_fallbacks = 0;
   for (const ServiceTelemetry& svc : services) {
     sessions += static_cast<double>(svc.stats.sessions);
     reorder_hwm = std::max(reorder_hwm, static_cast<double>(svc.reorder_hwm));
@@ -134,16 +129,7 @@ std::string render_metrics_body(const std::vector<ServiceTelemetry>& services,
     pose_ticks += static_cast<double>(svc.stats.pose_ticks);
     cal_flushes += static_cast<double>(svc.stats.cal_flushes);
     cal_memo += static_cast<double>(svc.stats.cal_memo);
-    cal_incremental += static_cast<double>(svc.stats.cal_incremental);
     cal_fallbacks += static_cast<double>(svc.stats.cal_fallbacks);
-    cal_fb[0] += static_cast<double>(svc.stats.cal_fb_cold);
-    cal_fb[1] += static_cast<double>(svc.stats.cal_fb_status);
-    cal_fb[2] += static_cast<double>(svc.stats.cal_fb_carve);
-    cal_fb[3] += static_cast<double>(svc.stats.cal_fb_delta);
-    cal_fb[4] += static_cast<double>(svc.stats.cal_fb_rows);
-    cal_fb[5] += static_cast<double>(svc.stats.cal_fb_drift);
-    cal_fb[6] += static_cast<double>(svc.stats.cal_fb_cancellation);
-    cal_fb[7] += static_cast<double>(svc.stats.cal_fb_sweep);
   }
   obs::append_prometheus_sample(out, "lion_serve_live_sessions", "", sessions,
                                 "gauge");
@@ -195,22 +181,13 @@ std::string render_metrics_body(const std::vector<ServiceTelemetry>& services,
   obs::append_prometheus_sample(
       out, "lion_serve_tick_fallback_ratio", "",
       pose_ticks == 0.0 ? 0.0 : tick_fallbacks / pose_ticks, "gauge");
-  // Calibrate-flush decision split (PR 10): how many `!flush` answers the
-  // incremental tier carried, and the fallback ratio the gates produced.
+  // Calibrate-flush split: memo replays vs full solves.
   obs::append_prometheus_sample(out, "lion_serve_cal_flushes_total", "",
                                 cal_flushes, "counter");
   obs::append_prometheus_sample(out, "lion_serve_cal_memo_total", "",
                                 cal_memo, "counter");
-  obs::append_prometheus_sample(out, "lion_serve_cal_incremental_total", "",
-                                cal_incremental, "counter");
   obs::append_prometheus_sample(out, "lion_serve_cal_fallbacks_total", "",
                                 cal_fallbacks, "counter");
-  for (std::size_t i = 0; i < 8; ++i) {
-    obs::append_prometheus_sample(
-        out, "lion_serve_cal_fallbacks_by_reason_total",
-        std::string("reason=\"") + kCalReasons[i] + "\"", cal_fb[i],
-        i == 0 ? "counter" : "");
-  }
   obs::append_prometheus_sample(
       out, "lion_serve_cal_fallback_ratio", "",
       cal_flushes == 0.0 ? 0.0 : cal_fallbacks / cal_flushes, "gauge");

@@ -124,11 +124,9 @@ struct ParsedLine {
   std::optional<std::size_t> window;
   std::optional<std::size_t> hop;
   std::optional<std::size_t> dim;
-  /// Calibrate only: preprocess moving-average width (1 disables). The
-  /// default (library) width re-smooths old samples whenever the buffer
-  /// grows, which keeps the incremental flush tier on its drift gate; a
-  /// client that wants warm `!flush` answers on a clean rig declares
-  /// smoothing=1.
+  /// Calibrate only: preprocess moving-average width (1 disables; unset
+  /// keeps the library default). Journaled declares carry it, so a
+  /// restore re-solves with the width the session was declared with.
   std::optional<std::size_t> smoothing;
 
   // kTick payload:

@@ -287,7 +287,16 @@ TEST_F(FanoutServe, ServiceTeardownWithQueuedHelpersIsClean) {
   engine::ThreadPool pool(1);
   std::promise<void> release;
   const std::shared_future<void> gate = release.get_future().share();
-  pool.submit([gate] { gate.wait(); });
+  // Wait until the worker holds the gate task: a worker that had not yet
+  // woken would pop the newest task first and run a helper during the
+  // restore, publishing its offload count after the snapshot below.
+  std::promise<void> parked;
+  std::future<void> parked_seen = parked.get_future();
+  pool.submit([gate, &parked] {
+    parked.set_value();
+    gate.wait();
+  });
+  parked_seen.wait();
   {
     Daemon p2(dir.path, &pool);
     p2.service->ingest_line(kDeclare);

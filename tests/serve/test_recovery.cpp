@@ -573,12 +573,11 @@ TEST(Recovery, RestoreRebuildsIncrementalStateForPostCrashTicks) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental calibrate flushes across crashes
+// Calibrate flushes across crashes
 // ---------------------------------------------------------------------------
 
-/// Clean three-line-rig scan on the dt = 0.1 grid with full columns — the
-/// regime where the incremental calibrate solver's warm tier answers (see
-/// tests/serve/test_incremental_cal_serve.cpp).
+/// Clean three-line-rig scan on the dt = 0.1 grid with full columns (the
+/// scan tests/serve/test_cal_memo.cpp uses).
 std::vector<std::string> cal_rig_rows() {
   sim::ThreeLineRig rig;
   rig.x_min = -0.55;
@@ -599,7 +598,7 @@ std::vector<std::string> cal_rig_rows() {
 }
 
 /// Declare + rows + flushes arranged so the uninterrupted run exercises
-/// all three calibrate tiers: cold fallback, memo, warm incremental.
+/// both calibrate answers twice: fallback, memo, fallback, memo.
 std::vector<std::string> cal_tiered_input() {
   const auto rows = cal_rig_rows();
   const std::size_t base = rows.size() - rows.size() / 10;
@@ -609,32 +608,31 @@ std::vector<std::string> cal_tiered_input() {
   input.push_back("!flush cal");  // cold -> fallback, installs the anchor
   input.push_back("!flush cal");  // unchanged buffer -> memo
   for (std::size_t i = base; i < rows.size(); ++i) input.push_back(rows[i]);
-  input.push_back("!flush cal");  // small clean append -> warm tier
+  input.push_back("!flush cal");  // appended rows -> fallback, new memo
+  input.push_back("!flush cal");  // unchanged buffer -> memo
   return input;
 }
 
 // Calibrate-flush crash matrix: killed at >= 24 fuzzed offsets — pinned
 // around every flush decision plus LCG fill — the resumed stream must be
 // byte-identical to the uninterrupted baseline, source tags included. A
-// restored flush may only answer memo/incremental if the replay rebuilt
-// the exact anchor state (kCalAnchor re-solve), so tag equality is state
-// equality.
+// restored flush may only answer memo if the replay rebuilt the exact memo
+// (kCalAnchor re-solve), so tag equality is state equality.
 TEST(Recovery, CalibrateFlushCrashMatrixResumesByteIdentical) {
   const auto input = cal_tiered_input();
   const auto baseline = sequenced(run_plain(input));
-  ASSERT_GE(baseline.size(), 3u);
-  // The baseline itself must exercise every tier, or the matrix proves
-  // less than it claims.
-  std::size_t memo = 0, warm = 0, fallback = 0;
+  ASSERT_GE(baseline.size(), 4u);
+  // The baseline itself must exercise both answers after each full solve,
+  // or the matrix proves less than it claims.
+  std::vector<std::string> sources;
   for (const auto& l : baseline) {
     if (l.find("\"schema\":\"lion.report.v1\"") == std::string::npos) continue;
-    memo += l.find("\"source\":\"memo\"") != std::string::npos;
-    warm += l.find("\"source\":\"incremental\"") != std::string::npos;
-    fallback += l.find("\"source\":\"fallback\"") != std::string::npos;
+    const auto key = l.find("\"source\":\"");
+    ASSERT_NE(key, std::string::npos) << l;
+    sources.push_back(l.substr(key + 10, l.find('"', key + 10) - key - 10));
   }
-  ASSERT_EQ(fallback, 1u);
-  ASSERT_EQ(memo, 1u);
-  ASSERT_EQ(warm, 1u);
+  ASSERT_EQ(sources, (std::vector<std::string>{"fallback", "memo", "fallback",
+                                               "memo"}));
 
   std::set<std::size_t> cuts = {1, 2, input.size() - 1};
   for (std::size_t i = 0; i < input.size(); ++i) {
@@ -658,17 +656,17 @@ TEST(Recovery, CalibrateFlushCrashMatrixResumesByteIdentical) {
 }
 
 // Focused restore-state gate, calibrate flavor: feed the whole stream,
-// crash, and only then flush. The restored solver must answer from the
-// incremental path with exactly the bytes the pre-crash warm flush
-// produced — possible only if replay reconstructed the anchor (buffer
-// prefix + report) bit for bit.
-TEST(Recovery, PostRestoreCalibrateFlushAnswersIncremental) {
+// crash, and only then flush with no new rows. The restored session must
+// answer from the memo with exactly the bytes the pre-crash flushes
+// produced — possible only if replay rebuilt the memo (buffer prefix +
+// report) bit for bit.
+TEST(Recovery, PostRestoreCalibrateFlushAnswersMemo) {
   const auto input = cal_tiered_input();
   const auto baseline = sequenced(run_plain(input));
   ASSERT_FALSE(baseline.empty());
-  const std::string& warm_report = baseline.back();
-  ASSERT_NE(warm_report.find("\"source\":\"incremental\""), std::string::npos)
-      << warm_report;
+  const std::string& last_report = baseline.back();
+  ASSERT_NE(last_report.find("\"source\":\"memo\""), std::string::npos)
+      << last_report;
 
   TempDir dir;
   Process p1(dir.path);
@@ -685,15 +683,14 @@ TEST(Recovery, PostRestoreCalibrateFlushAnswersIncremental) {
   const auto post = sequenced(p2.lines);
   ASSERT_FALSE(post.empty());
   const std::string& restored_report = post.back();
-  EXPECT_NE(restored_report.find("\"source\":\"incremental\""),
-            std::string::npos)
+  EXPECT_NE(restored_report.find("\"source\":\"memo\""), std::string::npos)
       << restored_report;
-  // Same report payload as the pre-crash warm flush, byte for byte.
+  // Same report payload as the pre-crash flushes, byte for byte.
   const auto payload = [](const std::string& line) {
     const auto key = line.find("\"report\":");
     return key == std::string::npos ? std::string() : line.substr(key);
   };
-  EXPECT_EQ(payload(restored_report), payload(warm_report));
+  EXPECT_EQ(payload(restored_report), payload(last_report));
 }
 
 // A closed session's journal is gone: re-declaring after a clean close is

@@ -218,16 +218,11 @@ TEST(Telemetry, RenderMetricsBodyExposesSessionSeries) {
   EXPECT_NE(body.find("lion_session_solve_seconds_count{session=\"g\"} "),
             std::string::npos);
   EXPECT_NE(body.find("lion_process_rss_bytes "), std::string::npos);
-  // Calibrate-flush split: the single cold flush above is a fallback with
-  // reason "cold"; every other reason renders as an explicit zero.
+  // Calibrate-flush split: the single flush above found no memo and ran
+  // the full solve.
   EXPECT_NE(body.find("lion_serve_cal_flushes_total 1"), std::string::npos);
+  EXPECT_NE(body.find("lion_serve_cal_memo_total 0"), std::string::npos);
   EXPECT_NE(body.find("lion_serve_cal_fallbacks_total 1"), std::string::npos);
-  EXPECT_NE(body.find("lion_serve_cal_fallbacks_by_reason_total"
-                      "{reason=\"cold\"} 1"),
-            std::string::npos);
-  EXPECT_NE(body.find("lion_serve_cal_fallbacks_by_reason_total"
-                      "{reason=\"drift\"} 0"),
-            std::string::npos);
   EXPECT_NE(body.find("lion_events_emitted_total 1"), std::string::npos);
   EXPECT_NE(body.find("lion_events_by_severity_total{severity=\"warn\"} 1"),
             std::string::npos);
