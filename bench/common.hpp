@@ -128,7 +128,10 @@ inline void print_cdf_deciles(const std::string& label,
 }
 
 inline void print_cdf_header(const std::string& unit) {
-  std::printf("%-24s", ("CDF deciles [" + unit + "]").c_str());
+  std::string title = "CDF deciles [";
+  title += unit;
+  title += ']';
+  std::printf("%-24s", title.c_str());
   for (int decile = 10; decile <= 100; decile += 10) {
     std::printf("    p%-3d", decile);
   }
@@ -186,7 +189,10 @@ class BenchReporter {
     params_.emplace_back(key, obs::json_number(v));
   }
   void param(const std::string& key, const std::string& v) {
-    params_.emplace_back(key, "\"" + obs::json_escape(v) + "\"");
+    std::string quoted = "\"";
+    quoted += obs::json_escape(v);
+    quoted += '"';
+    params_.emplace_back(key, std::move(quoted));
   }
 
   /// Start a record; chain tag()/value() on the returned row.
@@ -203,7 +209,7 @@ class BenchReporter {
     Row& r = row("cdf");
     r.tag("series", label);
     for (int decile = 10; decile <= 100; decile += 10) {
-      r.value("p" + std::to_string(decile),
+      r.value(std::string("p").append(std::to_string(decile)),
               linalg::percentile(samples, decile));
     }
   }
@@ -236,19 +242,26 @@ class BenchReporter {
     out += "\",\"params\":{";
     for (std::size_t i = 0; i < params_.size(); ++i) {
       if (i) out.push_back(',');
-      out += "\"" + obs::json_escape(params_[i].first) + "\":";
+      out += '"';
+      out += obs::json_escape(params_[i].first);
+      out += "\":";
       out += params_[i].second;
     }
     out += "},\"tags\":{";
     for (std::size_t i = 0; i < r.tags_.size(); ++i) {
       if (i) out.push_back(',');
-      out += "\"" + obs::json_escape(r.tags_[i].first) + "\":\"";
-      out += obs::json_escape(r.tags_[i].second) + "\"";
+      out += '"';
+      out += obs::json_escape(r.tags_[i].first);
+      out += "\":\"";
+      out += obs::json_escape(r.tags_[i].second);
+      out += '"';
     }
     out += "},\"values\":{";
     for (std::size_t i = 0; i < r.values_.size(); ++i) {
       if (i) out.push_back(',');
-      out += "\"" + obs::json_escape(r.values_[i].first) + "\":";
+      out += '"';
+      out += obs::json_escape(r.values_[i].first);
+      out += "\":";
       obs::append_json_number(out, r.values_[i].second);
     }
     out += "}}";

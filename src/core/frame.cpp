@@ -10,9 +10,13 @@ namespace lion::core {
 
 std::vector<double> TrajectoryFrame::to_local(const Vec3& p) const {
   std::vector<double> local(axes.size());
-  const Vec3 rel = p - centroid;
-  for (std::size_t k = 0; k < axes.size(); ++k) local[k] = rel.dot(axes[k]);
+  to_local(p, local.data());
   return local;
+}
+
+void TrajectoryFrame::to_local(const Vec3& p, double* out) const {
+  const Vec3 rel = p - centroid;
+  for (std::size_t k = 0; k < axes.size(); ++k) out[k] = rel.dot(axes[k]);
 }
 
 Vec3 TrajectoryFrame::from_local(const std::vector<double>& local,

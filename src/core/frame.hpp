@@ -34,6 +34,8 @@ struct TrajectoryFrame {
   /// Local (rank-dimensional) coordinates of a point: projections of
   /// (p - centroid) onto each axis.
   std::vector<double> to_local(const Vec3& p) const;
+  /// The same projections written to out[0..rank) (no allocation).
+  void to_local(const Vec3& p, double* out) const;
 
   /// Reconstruct a global point from local coordinates plus a perpendicular
   /// offset (0 when has_perpendicular is false).

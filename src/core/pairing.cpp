@@ -41,16 +41,23 @@ std::vector<IndexPair> ladder_pairs(const signal::PhaseProfile& profile,
   const auto arcs = signal::arc_lengths(profile);
   if (arcs.empty()) return {};
   const double total = arcs.back();
+  // One cursor per rung L (offset interval * 2^L): arcs is nondecreasing
+  // and so is arcs[i] + offset as i grows, so each rung's lower_bound
+  // target only moves forward and a monotone cursor finds the same j as a
+  // binary search from i + 1 would.
+  std::vector<std::size_t> cursor;
   std::vector<IndexPair> pairs;
   for (std::size_t i = 0; i < profile.size(); i += stride) {
+    std::size_t rung = 0;
     for (double offset = interval; arcs[i] + offset <= total + tolerance;
-         offset *= 2.0) {
+         offset *= 2.0, ++rung) {
+      if (rung == cursor.size()) cursor.push_back(0);
       const double target = arcs[i] + offset;
-      const auto it = std::lower_bound(arcs.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                                       arcs.end(), target);
-      if (it == arcs.end()) break;
-      const auto j = static_cast<std::size_t>(std::distance(arcs.begin(), it));
-      if (*it - target <= tolerance && j != i) pairs.emplace_back(i, j);
+      std::size_t j = std::max(cursor[rung], i + 1);
+      while (j < arcs.size() && arcs[j] < target) ++j;
+      cursor[rung] = j;
+      if (j == arcs.size()) break;
+      if (arcs[j] - target <= tolerance) pairs.emplace_back(i, j);
     }
   }
   return pairs;

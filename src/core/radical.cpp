@@ -33,15 +33,17 @@ LinearSystem build_system(const signal::PhaseProfile& profile,
         profile[i].phase - theta_ref, wavelength);
   }
 
-  // Local coordinates of every point referenced by a pair (memoized).
-  std::vector<std::vector<double>> local(profile.size());
+  // Local coordinates of every point referenced by a pair (memoized in
+  // one rank-stride array).
+  std::vector<double> local(profile.size() * rank);
   std::vector<char> have(profile.size(), 0);
-  auto local_of = [&](std::size_t idx) -> const std::vector<double>& {
+  auto local_of = [&](std::size_t idx) -> const double* {
+    double* q = local.data() + idx * rank;
     if (!have[idx]) {
-      local[idx] = frame.to_local(profile[idx].position);
+      frame.to_local(profile[idx].position, q);
       have[idx] = 1;
     }
-    return local[idx];
+    return q;
   };
 
   sys.a = linalg::Matrix(pairs.size(), cols);
@@ -52,8 +54,8 @@ LinearSystem build_system(const signal::PhaseProfile& profile,
     if (i >= profile.size() || j >= profile.size()) {
       throw std::invalid_argument("build_system: pair index out of range");
     }
-    const auto& qi = local_of(i);
-    const auto& qj = local_of(j);
+    const double* qi = local_of(i);
+    const double* qj = local_of(j);
     double qi2 = 0.0;
     double qj2 = 0.0;
     for (std::size_t c = 0; c < rank; ++c) {

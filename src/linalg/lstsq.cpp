@@ -247,22 +247,14 @@ LstsqResult solve_irls(const Matrix& a, const std::vector<double>& b,
 
 namespace {
 
-// Solve the (optionally weighted) normal equations of the masked subsystem
-// with the small kernels; `weights[k]` weights the k-th *selected* row.
-// Mirrors solve_normal_or_qr on the materialized subsystem.
-SolveStatus small_solve_masked(const SolverWorkspace& ws, const char* mask,
-                               std::size_t count, const double* weights,
-                               double* x) {
+// Finish a solve of the masked subsystem from its normal equations, already
+// accumulated into g (upper triangle) and rhs; `weights[k]` weighted the
+// k-th *selected* row (nullptr: unweighted). Mirrors solve_normal_or_qr on
+// the materialized subsystem.
+SolveStatus solve_masked_normals(const SolverWorkspace& ws, const char* mask,
+                                 std::size_t count, const double* weights,
+                                 SmallGram& g, const double* rhs, double* x) {
   const std::size_t p = ws.cols();
-  if (count < p) return SolveStatus::kUnderdetermined;
-  SmallGram g;
-  g.reset(p);
-  double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
-  if (weights) {
-    accumulate_weighted_masked(ws, mask, weights, g, rhs);
-  } else {
-    accumulate_masked(ws, mask, g, rhs);
-  }
   g.mirror();
   SmallCholesky chol;
   if (small_cholesky_factor(g, chol)) {
@@ -296,93 +288,127 @@ SolveStatus small_solve_masked(const SolverWorkspace& ws, const char* mask,
   return SolveStatus::kOk;
 }
 
-// finalize() over the masked subsystem: residuals, mean, rms.
+// finalize() over the masked subsystem in one pass: residuals, and the sum
+// and sum of squares that mean() and the rms loop accumulate, in the same
+// row order.
+template <std::size_t P>
 void finalize_masked(const SolverWorkspace& ws, const char* mask,
-                     std::size_t count, LstsqResult& out) {
-  const std::size_t p = ws.cols();
+                     std::size_t count, const double* x, LstsqResult& out) {
   out.residuals.resize(count);
-  std::size_t sel = 0;
-  for (std::size_t r = 0; r < ws.rows(); ++r) {
-    if (mask && !mask[r]) continue;
-    const double* row = ws.row(r);
-    double s = 0.0;
-    for (std::size_t c = 0; c < p; ++c) s += row[c] * out.x[c];
-    out.residuals[sel++] = s - ws.rhs(r);
-  }
-  out.mean_residual = mean(out.residuals);
+  double* res = out.residuals.data();
+  const double* rows = ws.row(0);
+  const double* b = ws.rhs_data();
+  const std::size_t n = ws.rows();
+  double sum = 0.0;
   double ss = 0.0;
-  for (double r : out.residuals) ss += r * r;
-  out.rms_residual =
-      out.residuals.empty()
-          ? 0.0
-          : std::sqrt(ss / static_cast<double>(out.residuals.size()));
+  std::size_t sel = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (mask && !mask[r]) continue;
+    const double* row = rows + r * P;
+    double s = 0.0;
+    for (std::size_t c = 0; c < P; ++c) s += row[c] * x[c];
+    const double e = s - b[r];
+    res[sel++] = e;
+    sum += e;
+    ss += e * e;
+  }
+  const double m = static_cast<double>(count);
+  out.mean_residual = count == 0 ? 0.0 : sum / m;
+  out.rms_residual = count == 0 ? 0.0 : std::sqrt(ss / m);
 }
 
-// robust_residual_weights / gaussian_residual_weights into ws.weights,
-// using the workspace scratch instead of fresh vectors.
-void robust_weights_into_ws(SolverWorkspace& ws,
-                            const std::vector<double>& residuals,
-                            RobustLoss loss, double tuning, double min_sigma) {
+// Median and robust sigma (1.4826 * MAD, floored at min_sigma) of the
+// residuals, through the workspace scratch.
+void robust_center_scale(SolverWorkspace& ws,
+                         const std::vector<double>& residuals,
+                         double min_sigma, double& med, double& sigma) {
   const std::size_t n = residuals.size();
-  ws.weights.resize(n);
-  if (loss == RobustLoss::kGaussian) {
-    const double mu = mean(residuals);
-    const double sigma = std::max(stddev(residuals), min_sigma);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double z = (residuals[i] - mu) / sigma;
-      ws.weights[i] = std::exp(-0.5 * z * z);
-    }
-    return;
-  }
-  if (n == 0) return;
   ws.median_scratch.resize(n);
   std::copy(residuals.begin(), residuals.end(), ws.median_scratch.begin());
-  const double med = median_in_place(ws.median_scratch.data(),
-                                     ws.median_scratch.data() + n);
+  med = median_in_place(ws.median_scratch.data(),
+                        ws.median_scratch.data() + n);
   ws.abs_dev.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     ws.abs_dev[i] = std::abs(residuals[i] - med);
   }
-  const double sigma =
-      std::max(1.4826 * median_in_place(ws.abs_dev.data(), ws.abs_dev.data() + n),
-               min_sigma);
-  const double c = tuning > 0.0
-                       ? tuning
-                       : (loss == RobustLoss::kHuber ? 1.345 : 4.685);
-  auto fill = [&](RobustLoss l) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double z = std::abs(residuals[i] - med) / sigma;
-      if (l == RobustLoss::kHuber) {
-        ws.weights[i] = z <= c ? 1.0 : c / z;
-      } else {  // Tukey biweight
-        const double u = z / c;
-        ws.weights[i] = u < 1.0 ? (1.0 - u * u) * (1.0 - u * u) : 0.0;
-      }
-    }
-  };
-  fill(loss);
-  double total = 0.0;
-  for (double wi : ws.weights) total += wi;
-  if (total <= kMinMeanRobustWeight * static_cast<double>(n)) {
-    fill(RobustLoss::kHuber);
-  }
+  sigma = std::max(
+      1.4826 * median_in_place(ws.abs_dev.data(), ws.abs_dev.data() + n),
+      min_sigma);
 }
 
-}  // namespace
+// One reweighted normal-equation pass: the weights
+// robust_residual_weights / gaussian_residual_weights give `residuals`,
+// written to `w`, accumulated into g/rhs. Huber weights are computed
+// inside the accumulation pass (they are never all zero, so the Tukey
+// refill gate cannot fire); Gaussian and Tukey weights are filled first
+// because Tukey's gate needs their total before any row is summed.
+template <std::size_t P>
+void reweighted_normals(SolverWorkspace& ws, const char* mask,
+                        const std::vector<double>& residuals,
+                        const IrlsOptions& options, std::vector<double>& w,
+                        SmallGram& g, double* rhs) {
+  const std::size_t n = residuals.size();
+  w.resize(n);
+  if (options.loss == RobustLoss::kGaussian) {
+    const double mu = mean(residuals);
+    const double sigma = std::max(stddev(residuals), options.min_sigma);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double z = (residuals[i] - mu) / sigma;
+      w[i] = std::exp(-0.5 * z * z);
+    }
+    const double* wp = w.data();
+    accumulate_weighted_rows<P>(
+        ws, mask, [wp](std::size_t k) { return wp[k]; }, g, rhs);
+    return;
+  }
+  double med = 0.0;
+  double sigma = 0.0;
+  robust_center_scale(ws, residuals, options.min_sigma, med, sigma);
+  const double c =
+      options.tuning > 0.0
+          ? options.tuning
+          : (options.loss == RobustLoss::kHuber ? 1.345 : 4.685);
+  const double* res = residuals.data();
+  double* wp = w.data();
+  // By value: a capture by reference could alias the weight stores.
+  auto huber = [res, wp, med, sigma, c](std::size_t k) {
+    const double z = std::abs(res[k] - med) / sigma;
+    return wp[k] = z <= c ? 1.0 : c / z;
+  };
+  if (options.loss == RobustLoss::kTukey) {
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double z = std::abs(res[i] - med) / sigma;
+      const double u = z / c;
+      wp[i] = u < 1.0 ? (1.0 - u * u) * (1.0 - u * u) : 0.0;
+      total += wp[i];
+    }
+    // Every row rejected: fall back to Huber, as robust_residual_weights.
+    if (!(total <= kMinMeanRobustWeight * static_cast<double>(n))) {
+      accumulate_weighted_rows<P>(
+          ws, mask, [wp](std::size_t k) { return wp[k]; }, g, rhs);
+      return;
+    }
+  }
+  accumulate_weighted_rows<P>(ws, mask, huber, g, rhs);
+}
 
-SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
-                              std::size_t count, const IrlsOptions& options,
-                              LstsqResult& out) {
-  LION_OBS_SPAN(obs::Stage::kIrls);
-  const std::size_t p = ws.cols();
+template <std::size_t P>
+SolveStatus irls_masked(SolverWorkspace& ws, const char* mask,
+                        std::size_t count, const IrlsOptions& options,
+                        LstsqResult& out) {
+  if (count < P) return SolveStatus::kUnderdetermined;
   double x[kSmallMaxCols];
   // OLS seed (the classic path's solve_least_squares).
-  SolveStatus st = small_solve_masked(ws, mask, count, nullptr, x);
+  SmallGram g;
+  g.reset(P);
+  double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
+  accumulate_masked(ws, mask, g, rhs);
+  SolveStatus st = solve_masked_normals(ws, mask, count, nullptr, g, rhs, x);
   if (st != SolveStatus::kOk) return st;
-  out.x.resize(p);
-  std::copy(x, x + p, out.x.begin());
+  out.x.assign(x, x + P);
   out.weights.assign(count, 1.0);
-  finalize_masked(ws, mask, count, out);
+  finalize_masked<P>(ws, mask, count, x, out);
   out.iterations = 0;
   out.converged = true;
 
@@ -390,19 +416,19 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
   LstsqResult* nxt = &ws.irls_scratch;
   bool converged = false;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-    robust_weights_into_ws(ws, cur->residuals, options.loss, options.tuning,
-                           options.min_sigma);
-    st = small_solve_masked(ws, mask, count, ws.weights.data(), x);
+    g.reset(P);
+    for (double& v : rhs) v = 0.0;
+    reweighted_normals<P>(ws, mask, cur->residuals, options, nxt->weights, g,
+                          rhs);
+    st = solve_masked_normals(ws, mask, count, nxt->weights.data(), g, rhs,
+                              x);
     if (st != SolveStatus::kOk) return st;
-    nxt->x.resize(p);
-    std::copy(x, x + p, nxt->x.begin());
-    nxt->weights.resize(count);
-    std::copy(ws.weights.begin(), ws.weights.end(), nxt->weights.begin());
-    finalize_masked(ws, mask, count, *nxt);
+    nxt->x.assign(x, x + P);
+    finalize_masked<P>(ws, mask, count, x, *nxt);
     nxt->iterations = iter + 1;
     nxt->converged = true;
     double delta = 0.0;
-    for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t i = 0; i < P; ++i) {
       delta = std::max(delta, std::abs(nxt->x[i] - cur->x[i]));
     }
     std::swap(cur, nxt);
@@ -415,6 +441,24 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
   note_irls_outcome(*cur);
   if (cur != &out) std::swap(out, ws.irls_scratch);
   return SolveStatus::kOk;
+}
+
+}  // namespace
+
+SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
+                              std::size_t count, const IrlsOptions& options,
+                              LstsqResult& out) {
+  LION_OBS_SPAN(obs::Stage::kIrls);
+  switch (ws.cols()) {
+    case 1:
+      return irls_masked<1>(ws, mask, count, options, out);
+    case 2:
+      return irls_masked<2>(ws, mask, count, options, out);
+    case 3:
+      return irls_masked<3>(ws, mask, count, options, out);
+    default:
+      return irls_masked<4>(ws, mask, count, options, out);
+  }
 }
 
 void solve_irls(const Matrix& a, const std::vector<double>& b,

@@ -155,9 +155,9 @@ Matrix SolverWorkspace::gram_matrix() const {
 // differently from (w*a_i)*a_j); it keeps the legacy per-term expressions
 // ((w * a_i) * a_j, a_c * (w * b)) over the cached raw rows. The legacy
 // `w != 0` / `w * a_i == 0` guards only ever skip (+/-)0.0 contributions,
-// so by the same zero-identity argument the straight-line form below is
-// bit-identical too — and, with the column count a template constant, it
-// unrolls and vectorizes.
+// so by the same zero-identity argument the straight-line form
+// (accumulate_weighted_rows, small.hpp) is bit-identical too — and, with
+// the column count a template constant, it unrolls and vectorizes.
 
 void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
                      std::size_t m, SmallGram& g, double* rhs) {
@@ -173,59 +173,72 @@ void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
   }
 }
 
-void accumulate_masked(const SolverWorkspace& ws, const char* mask,
-                       SmallGram& g, double* rhs) {
-  const std::size_t p = ws.cols();
-  for (std::size_t r = 0; r < ws.rows(); ++r) {
-    if (mask && !mask[r]) continue;
-    const double* prod = ws.products(r);
-    const double* rhsp = ws.rhs_products(r);
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i; j < p; ++j) g.g[i][j] += prod[k++];
-    }
-    for (std::size_t c = 0; c < p; ++c) rhs[c] += rhsp[c];
-  }
-}
-
 namespace {
 
 template <std::size_t P>
-void accumulate_weighted_masked_impl(const SolverWorkspace& ws,
-                                     const char* mask, const double* w,
-                                     SmallGram& g, double* rhs) {
-  std::size_t sel = 0;
-  for (std::size_t r = 0; r < ws.rows(); ++r) {
+void accumulate_masked_impl(const SolverWorkspace& ws, const char* mask,
+                            SmallGram& g, double* rhs) {
+  // Local sums over hoisted pointers, as in accumulate_weighted_rows.
+  constexpr std::size_t kPacked = P * (P + 1) / 2;
+  double acc[kPacked];
+  double acc_rhs[P];
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < P; ++i) {
+    for (std::size_t j = i; j < P; ++j) acc[k++] = g.g[i][j];
+    acc_rhs[i] = rhs[i];
+  }
+  const double* products = ws.products(0);
+  const double* rhs_products = ws.rhs_products(0);
+  const std::size_t n = ws.rows();
+  for (std::size_t r = 0; r < n; ++r) {
     if (mask && !mask[r]) continue;
-    const double* row = ws.row(r);
-    const double wr = w[sel];
-    const double wv = wr * ws.rhs(r);
-    ++sel;
-    double wrow[P];
-    for (std::size_t i = 0; i < P; ++i) wrow[i] = wr * row[i];
-    for (std::size_t i = 0; i < P; ++i) {
-      for (std::size_t j = i; j < P; ++j) g.g[i][j] += wrow[i] * row[j];
-    }
-    for (std::size_t c = 0; c < P; ++c) rhs[c] += row[c] * wv;
+    const double* prod = products + r * kPacked;
+    const double* rhsp = rhs_products + r * P;
+    for (k = 0; k < kPacked; ++k) acc[k] += prod[k];
+    for (std::size_t c = 0; c < P; ++c) acc_rhs[c] += rhsp[c];
+  }
+  k = 0;
+  for (std::size_t i = 0; i < P; ++i) {
+    for (std::size_t j = i; j < P; ++j) g.g[i][j] = acc[k++];
+    rhs[i] = acc_rhs[i];
   }
 }
 
 }  // namespace
 
-void accumulate_weighted_masked(const SolverWorkspace& ws, const char* mask,
-                                const double* w, SmallGram& g, double* rhs) {
+void accumulate_masked(const SolverWorkspace& ws, const char* mask,
+                       SmallGram& g, double* rhs) {
   switch (ws.cols()) {
     case 1:
-      accumulate_weighted_masked_impl<1>(ws, mask, w, g, rhs);
+      accumulate_masked_impl<1>(ws, mask, g, rhs);
       return;
     case 2:
-      accumulate_weighted_masked_impl<2>(ws, mask, w, g, rhs);
+      accumulate_masked_impl<2>(ws, mask, g, rhs);
       return;
     case 3:
-      accumulate_weighted_masked_impl<3>(ws, mask, w, g, rhs);
+      accumulate_masked_impl<3>(ws, mask, g, rhs);
       return;
     default:
-      accumulate_weighted_masked_impl<4>(ws, mask, w, g, rhs);
+      accumulate_masked_impl<4>(ws, mask, g, rhs);
+      return;
+  }
+}
+
+void accumulate_weighted_masked(const SolverWorkspace& ws, const char* mask,
+                                const double* w, SmallGram& g, double* rhs) {
+  const auto weight = [w](std::size_t k) { return w[k]; };
+  switch (ws.cols()) {
+    case 1:
+      accumulate_weighted_rows<1>(ws, mask, weight, g, rhs);
+      return;
+    case 2:
+      accumulate_weighted_rows<2>(ws, mask, weight, g, rhs);
+      return;
+    case 3:
+      accumulate_weighted_rows<3>(ws, mask, weight, g, rhs);
+      return;
+    default:
+      accumulate_weighted_rows<4>(ws, mask, weight, g, rhs);
       return;
   }
 }

@@ -126,6 +126,8 @@ class SolverWorkspace {
     return rhsp_.data() + r * p_;
   }
   double rhs(std::size_t r) const { return b_[r]; }
+  /// All rows' rhs values (rows() entries).
+  const double* rhs_data() const { return b_.data(); }
 
   /// A^T A of the loaded system, summed from the cached products —
   /// bit-exact with Matrix::gram() on the loaded matrix, without
@@ -136,10 +138,8 @@ class SolverWorkspace {
   // Scratch buffers, resized (never shrunk) by the solver routines.
   std::vector<double> residuals;       ///< candidate residuals (RANSAC)
   std::vector<double> best_residuals;  ///< best-so-far residuals (RANSAC)
-  std::vector<double> squared;         ///< generic squared-value scratch
   std::vector<double> median_scratch;  ///< median_in_place victim buffer
   std::vector<double> abs_dev;         ///< MAD deviations (robust weights)
-  std::vector<double> weights;         ///< per-row IRLS weights
   std::vector<std::size_t> indices;    ///< Fisher-Yates subset sampler
   LstsqResult irls_scratch;            ///< IRLS double-buffer slot
 
@@ -230,5 +230,49 @@ void accumulate_masked(const SolverWorkspace& ws, const char* mask,
 /// weighted_transpose_multiply on the materialized subsystem.
 void accumulate_weighted_masked(const SolverWorkspace& ws, const char* mask,
                                 const double* w, SmallGram& g, double* rhs);
+
+/// The loop behind accumulate_weighted_masked for P == ws.cols(), taking
+/// the k-th selected row's weight from weight_of(k) (called once per
+/// selected row, in row order) — so a caller can compute each weight in
+/// the same pass that consumes it.
+template <std::size_t P, class WeightOf>
+void accumulate_weighted_rows(const SolverWorkspace& ws, const char* mask,
+                              WeightOf&& weight_of, SmallGram& g,
+                              double* rhs) {
+  // Sums live in locals and the row data behind hoisted pointers: stores
+  // made by weight_of could otherwise alias g, rhs or the workspace and
+  // pin every += to memory. Each sum still adds its terms in row order.
+  constexpr std::size_t kPacked = P * (P + 1) / 2;
+  double acc[kPacked];
+  double acc_rhs[P];
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < P; ++i) {
+    for (std::size_t j = i; j < P; ++j) acc[k++] = g.g[i][j];
+    acc_rhs[i] = rhs[i];
+  }
+  const double* rows = ws.row(0);
+  const double* b = ws.rhs_data();
+  const std::size_t n = ws.rows();
+  std::size_t sel = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (mask && !mask[r]) continue;
+    const double* row = rows + r * P;
+    const double wr = weight_of(sel);
+    const double wv = wr * b[r];
+    ++sel;
+    double wrow[P];
+    for (std::size_t i = 0; i < P; ++i) wrow[i] = wr * row[i];
+    k = 0;
+    for (std::size_t i = 0; i < P; ++i) {
+      for (std::size_t j = i; j < P; ++j) acc[k++] += wrow[i] * row[j];
+    }
+    for (std::size_t c = 0; c < P; ++c) acc_rhs[c] += row[c] * wv;
+  }
+  k = 0;
+  for (std::size_t i = 0; i < P; ++i) {
+    for (std::size_t j = i; j < P; ++j) g.g[i][j] = acc[k++];
+    rhs[i] = acc_rhs[i];
+  }
+}
 
 }  // namespace lion::linalg

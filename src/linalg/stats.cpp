@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+
+#include "obs/obs.hpp"
 
 namespace lion::linalg {
 
@@ -14,8 +17,8 @@ namespace {
 // reached with ~1.5n comparisons instead of introselect's ~3n. The k-th
 // order statistic of a finite multiset is a single well-defined double,
 // so swapping the selection algorithm cannot change any downstream
-// value; this routine sits under every LMedS score and MAD scale in the
-// solver hot path. Two caveats shared with nth_element: input must be
+// value; median_in_place runs it over small buffers, inside a sampled
+// bracket, and as the fallback when the bracket misses. Two caveats shared with nth_element: input must be
 // NaN-free (callers feed sanitized residuals), and when elements compare
 // equal but differ in bits (only possible for +0.0 vs -0.0) *which* of
 // them lands at position k is arbitrary — the solver paths never produce
@@ -64,6 +67,78 @@ void floyd_rivest_select(double* a, std::ptrdiff_t left, std::ptrdiff_t right,
   }
 }
 
+// Bracketed selection for median_in_place. Above kBracketMinSize values
+// a full Floyd-Rivest pass over the buffer costs more than (1) bracketing
+// the wanted rank(s) between two values of a fixed strided sample, (2)
+// one read-only pass counting the values below and above the bracket,
+// (3) one branchless pass compacting the inside values to the front, and
+// (4) selecting within the compacted ~2 * kBracketHalfWidth /
+// kBracketSample fraction. When the count shows the bracket missed a wanted rank, the
+// buffer is still intact (only the count pass has run) and the selection
+// runs over all of it instead. Either way the value returned is the same
+// order statistic of the same multiset.
+constexpr std::size_t kBracketMinSize = 2048;
+constexpr std::size_t kBracketSample = 256;
+constexpr std::size_t kBracketHalfWidth = 20;
+
+struct Bracket {
+  double lo;
+  double hi;
+};
+
+// Bracket around ranks [k_lo, k_hi] of the n >= kBracketMinSize values at
+// `a`: the sample values kBracketHalfWidth sample ranks below k_lo's and
+// above k_hi's expected sample rank.
+Bracket sample_bracket(const double* a, std::size_t n, std::size_t k_lo,
+                       std::size_t k_hi) {
+  double sample[kBracketSample];
+  const std::size_t stride = n / kBracketSample;
+  for (std::size_t s = 0; s < kBracketSample; ++s) {
+    sample[s] = a[s * stride + stride / 2];
+  }
+  const std::size_t at_lo = k_lo * kBracketSample / n;
+  const std::size_t at_hi = k_hi * kBracketSample / n;
+  const std::size_t j_lo =
+      at_lo > kBracketHalfWidth ? at_lo - kBracketHalfWidth : 0;
+  const std::size_t j_hi =
+      std::min(at_hi + kBracketHalfWidth, kBracketSample - 1);
+  constexpr auto last = static_cast<std::ptrdiff_t>(kBracketSample) - 1;
+  floyd_rivest_select(sample, 0, last, static_cast<std::ptrdiff_t>(j_lo));
+  const double lo = sample[j_lo];
+  // Everything right of j_lo is >= lo; the second select may reorder it.
+  floyd_rivest_select(sample, static_cast<std::ptrdiff_t>(j_lo) + 1, last,
+                      static_cast<std::ptrdiff_t>(j_hi));
+  return {lo, sample[j_hi]};
+}
+
+// The count pass: values strictly below br.lo and strictly above br.hi.
+// Two lanes at a time through the GCC/Clang vector extension — the
+// auto-vectorizer leaves a compare-and-count loop scalar on baseline
+// x86-64, where this pass would otherwise cost as much as the selection
+// it saves. A lane compare yields -1 (true) or 0, so each lane counts down.
+void count_outside(const double* a, std::size_t n, const Bracket& br,
+                   std::size_t& below, std::size_t& above) {
+  using V2d = double __attribute__((vector_size(16)));
+  using V2l = long long __attribute__((vector_size(16)));
+  const V2d lo = {br.lo, br.lo};
+  const V2d hi = {br.hi, br.hi};
+  V2l under = {0, 0};
+  V2l over = {0, 0};
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    V2d v;
+    std::memcpy(&v, a + i, sizeof v);
+    under += v < lo;
+    over += v > hi;
+  }
+  below = static_cast<std::size_t>(-(under[0] + under[1]));
+  above = static_cast<std::size_t>(-(over[0] + over[1]));
+  for (; i < n; ++i) {
+    below += static_cast<std::size_t>(a[i] < br.lo);
+    above += static_cast<std::size_t>(a[i] > br.hi);
+  }
+}
+
 }  // namespace
 
 double mean(const std::vector<double>& v) {
@@ -91,12 +166,36 @@ double median_in_place(double* first, double* last) {
   if (first == last) throw std::invalid_argument("median: empty input");
   const auto n = static_cast<std::size_t>(last - first);
   const std::size_t mid = n / 2;
-  floyd_rivest_select(first, 0, static_cast<std::ptrdiff_t>(n) - 1,
-                      static_cast<std::ptrdiff_t>(mid));
-  const double hi = first[mid];
+  // Ranks the median needs: mid alone (odd n), mid - 1 and mid (even n).
+  const std::size_t k_lo = n % 2 == 1 ? mid : mid - 1;
+  std::size_t below = 0;
+  std::size_t m = n;
+  if (n >= kBracketMinSize) {
+    const Bracket br = sample_bracket(first, n, k_lo, mid);
+    std::size_t above = 0;
+    count_outside(first, n, br, below, above);
+    if (below <= k_lo && above < n - mid) {
+      m = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double v = first[i];
+        first[m] = v;
+        // The complement of the count pass's tests, so m == n - below -
+        // above whatever the input.
+        m += static_cast<std::size_t>(!(v < br.lo) & !(v > br.hi));
+      }
+    } else {
+      LION_OBS_COUNT("select.bracket_misses", 1);
+      below = 0;
+    }
+  }
+  // Within [first, first + m) the wanted ranks sit `below` lower.
+  const std::size_t k = mid - below;
+  floyd_rivest_select(first, 0, static_cast<std::ptrdiff_t>(m) - 1,
+                      static_cast<std::ptrdiff_t>(k));
+  const double hi = first[k];
   if (n % 2 == 1) return hi;
   const double lo =
-      *std::max_element(first, first + static_cast<std::ptrdiff_t>(mid));
+      *std::max_element(first, first + static_cast<std::ptrdiff_t>(k));
   return 0.5 * (lo + hi);
 }
 

@@ -52,7 +52,8 @@ void register_pipeline_metrics() {
         "serve.samples", "serve.requests", "serve.errors", "serve.evictions",
         "serve.backpressure_waits", "serve.rejected_busy", "serve.timeouts",
         "serve.oversized", "serve.ticks", "serve.tick_fallbacks",
-        "serve.replay_solves", "adaptive.cells", "adaptive.cells_offloaded"}) {
+        "serve.replay_solves", "adaptive.cells", "adaptive.cells_offloaded",
+        "select.bracket_misses"}) {
     (void)reg.try_counter(name);
   }
   (void)reg.try_histogram("ransac.inlier_fraction", fraction_bounds());

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <stdexcept>
+#include <string>
+
+#include "rf/rng.hpp"
+#include "sim/trajectory.hpp"
 
 namespace lion::core {
 namespace {
@@ -118,6 +124,129 @@ TEST(LadderPairs, RejectsNonPositiveInterval) {
 
 TEST(LadderPairs, EmptyProfileGivesNoPairs) {
   EXPECT_TRUE(ladder_pairs({}, 0.1).empty());
+}
+
+// ladder_pairs as it was written with one binary search per (anchor,
+// rung): the reference the cursor implementation must reproduce pair for
+// pair.
+std::vector<IndexPair> ladder_pairs_by_search(
+    const signal::PhaseProfile& profile, double interval, double tolerance,
+    std::size_t stride) {
+  if (stride == 0) stride = 1;
+  const auto arcs = signal::arc_lengths(profile);
+  if (arcs.empty()) return {};
+  const double total = arcs.back();
+  std::vector<IndexPair> pairs;
+  for (std::size_t i = 0; i < profile.size(); i += stride) {
+    for (double offset = interval; arcs[i] + offset <= total + tolerance;
+         offset *= 2.0) {
+      const double target = arcs[i] + offset;
+      const auto it = std::lower_bound(
+          arcs.begin() + static_cast<std::ptrdiff_t>(i) + 1, arcs.end(),
+          target);
+      if (it == arcs.end()) break;
+      const auto j = static_cast<std::size_t>(std::distance(arcs.begin(), it));
+      if (*it - target <= tolerance && j != i) pairs.emplace_back(i, j);
+    }
+  }
+  return pairs;
+}
+
+void expect_same_ladder(const signal::PhaseProfile& profile, double interval,
+                        double tolerance, std::size_t stride,
+                        const std::string& what) {
+  const auto want = ladder_pairs_by_search(profile, interval, tolerance,
+                                           stride);
+  const auto got = ladder_pairs(profile, interval, tolerance, stride);
+  EXPECT_EQ(got, want) << what << ": interval " << interval << ", tolerance "
+                       << tolerance << ", stride " << stride;
+}
+
+// The paper's three-line rig sampled at jittered read times, as a reader
+// would report it (~4.5k reads at 10 cm/s).
+signal::PhaseProfile rig_scan(std::uint64_t seed) {
+  sim::ThreeLineRig rig;
+  rig.x_min = -0.55;
+  rig.x_max = 0.55;
+  const auto path = rig.build();
+  rf::Rng rng(seed);
+  signal::PhaseProfile p;
+  for (double t = 0.0; t <= path.duration();
+       t += rng.uniform(0.0085, 0.0125)) {
+    p.push_back({path.position(t), 0.0, t});
+  }
+  return p;
+}
+
+TEST(LadderPairs, CursorsMatchBinarySearchOnRigScans) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    const auto scan = rig_scan(seed);
+    ASSERT_GT(scan.size(), 1000u);
+    for (double interval : {0.10, 0.15, 0.20, 0.25, 0.30, 0.35}) {
+      expect_same_ladder(scan, interval, 0.02, 1, "rig scan");
+      // The adaptive sweep's windows: the rig cropped to an x range, which
+      // leaves each line's middle and jumps between lines.
+      for (double range : {0.6, 0.9, 1.1}) {
+        expect_same_ladder(restrict_to_x_range(scan, 0.0, range), interval,
+                           0.02, 1, "windowed rig scan");
+      }
+    }
+  }
+}
+
+TEST(LadderPairs, CursorsMatchBinarySearchOnGappedSegments) {
+  // Two lines recorded back to back with dropped stretches (stream gaps)
+  // inside each: rungs land in gaps and fetch samples past the tolerance.
+  signal::PhaseProfile profile;
+  rf::Rng rng(5);
+  for (double y : {0.0, -0.2, 0.2}) {
+    for (int i = 0; i <= 400; ++i) {
+      if ((i / 37) % 3 == 1) continue;  // a gap every third stretch
+      profile.push_back({{0.0025 * i, y, 0.0}, 0.0, 0.0});
+    }
+  }
+  for (double interval : {0.01, 0.05, 0.2, 0.33}) {
+    for (double tolerance : {0.0, 0.005, 0.02, 0.1}) {
+      for (std::size_t stride : {1, 2, 3, 7}) {
+        expect_same_ladder(profile, interval, tolerance, stride, "gapped");
+      }
+    }
+  }
+}
+
+TEST(LadderPairs, CursorsMatchBinarySearchOnExactTargets) {
+  // Binary-exact spacing (1/8 m) so arc lengths and targets are exact:
+  // with tolerance 1/8 a rung whose target sample was dropped fetches the
+  // next sample at exactly target + tolerance (kept), and with tolerance
+  // 1/16 just past it (skipped). Targets that land exactly on a sample
+  // test lower_bound's "first >= target" edge.
+  signal::PhaseProfile profile;
+  for (int i = 0; i < 64; ++i) {
+    if (i % 5 == 3) continue;
+    profile.push_back({{0.125 * i, 0.0, 0.0}, 0.0, 0.0});
+  }
+  for (double interval : {0.125, 0.25, 0.375, 0.5}) {
+    for (double tolerance : {0.0, 0.0625, 0.125, 0.25}) {
+      for (std::size_t stride : {1, 2, 4}) {
+        expect_same_ladder(profile, interval, tolerance, stride, "exact");
+      }
+    }
+  }
+}
+
+TEST(LadderPairs, TinyIntervalNeedsManyRungs) {
+  // interval 2^-60 m on a 2 m line: ~61 rungs per anchor.
+  const auto profile = x_line(201);
+  const double interval = std::ldexp(1.0, -60);
+  const auto pairs = ladder_pairs(profile, interval, 0.02, 1);
+  std::size_t longest = 0;
+  for (const auto& [i, j] : pairs) {
+    ASSERT_GT(j, i);
+    longest = std::max(longest, j - i);
+  }
+  EXPECT_GT(longest, 100u);  // the top rungs reach across the line
+  expect_same_ladder(profile, interval, 0.02, 1, "tiny interval");
+  expect_same_ladder(profile, interval, 0.02, 3, "tiny interval");
 }
 
 TEST(SpreadPairs, AllPairsRespectMinSeparation) {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "linalg/decompositions.hpp"
@@ -335,6 +336,150 @@ TEST(SmallKernels, SubsetAccumulationMatchesGatheredSubsystem) {
     for (std::size_t j = 0; j < p; ++j) EXPECT_EQ(g.g[i][j], ref(i, j));
     EXPECT_EQ(rhs[i], ref_rhs[i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// IRLS kernel: solve_irls_masked (fused Huber pass, templated finalize)
+// against the classic solve_irls on the materialized row subset.
+// ---------------------------------------------------------------------------
+
+struct MaskedCase {
+  Matrix a;
+  std::vector<double> b;
+  std::vector<char> mask;
+  std::size_t count = 0;
+};
+
+/// Rows drawn as a linear model plus noise, a few gross outliers, and a
+/// random mask keeping about 80% of them.
+MaskedCase masked_case(std::mt19937_64& rng, std::size_t n, std::size_t p) {
+  MaskedCase c;
+  c.a = random_matrix(rng, n, p);
+  c.b = random_vector(rng, n, -0.05, 0.05);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < p; ++j) {
+      c.b[i] += c.a(i, j) * static_cast<double>(j + 1);
+    }
+    if (u(rng) < 0.08) c.b[i] += 3.0;
+  }
+  c.mask.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    c.mask[i] = u(rng) < 0.8 ? 1 : 0;
+    c.count += c.mask[i] ? 1 : 0;
+  }
+  return c;
+}
+
+/// Runs both solvers and asserts bit-equal results; returns the reference.
+LstsqResult expect_masked_matches_classic(const MaskedCase& c,
+                                          const IrlsOptions& opt) {
+  const std::size_t p = c.a.cols();
+  Matrix sub(c.count, p);
+  std::vector<double> sub_b(c.count);
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < c.a.rows(); ++i) {
+    if (!c.mask[i]) continue;
+    for (std::size_t j = 0; j < p; ++j) sub(r, j) = c.a(i, j);
+    sub_b[r++] = c.b[i];
+  }
+  const LstsqResult want = solve_irls(sub, sub_b, opt);
+
+  SolverWorkspace ws;
+  ws.load(c.a, c.b);
+  LstsqResult got;
+  EXPECT_EQ(solve_irls_masked(ws, c.mask.data(), c.count, opt, got),
+            SolveStatus::kOk);
+  EXPECT_EQ(got.x, want.x);
+  EXPECT_EQ(got.residuals, want.residuals);
+  EXPECT_EQ(got.weights, want.weights);
+  EXPECT_EQ(got.mean_residual, want.mean_residual);
+  EXPECT_EQ(got.rms_residual, want.rms_residual);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  return want;
+}
+
+TEST(IrlsKernel, MaskedMatchesClassicOnRandomMasksBitExact) {
+  std::mt19937_64 rng(41);
+  // 3000 rows keep the masked count above the bracketed-median threshold
+  // (2048), so both median paths feed the weights.
+  for (std::size_t n : {37, 300, 3000}) {
+    for (std::size_t p = 1; p <= kSmallMaxCols; ++p) {
+      const MaskedCase c = masked_case(rng, n, p);
+      for (RobustLoss loss :
+           {RobustLoss::kGaussian, RobustLoss::kHuber, RobustLoss::kTukey}) {
+        IrlsOptions opt;
+        opt.loss = loss;
+        SCOPED_TRACE(std::string(robust_loss_name(loss)) + " n=" +
+                     std::to_string(n) + " p=" + std::to_string(p));
+        const LstsqResult want = expect_masked_matches_classic(c, opt);
+        EXPECT_GT(want.iterations, 0u);
+      }
+    }
+  }
+}
+
+TEST(IrlsKernel, TukeyAllRejectedRefillsWithHuberBitExact) {
+  // A tuning cutoff far below any residual's distance from the median (an
+  // even row count puts the median between two residuals) rejects every
+  // row: each round must refill with Huber weights, as the classic
+  // robust_residual_weights does.
+  std::mt19937_64 rng(42);
+  for (std::size_t n : {60, 3000}) {
+    MaskedCase c = masked_case(rng, n, 3);
+    if (c.count % 2 == 1) {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (c.mask[i]) {
+          c.mask[i] = 0;
+          --c.count;
+          break;
+        }
+      }
+    }
+    IrlsOptions opt;
+    opt.loss = RobustLoss::kTukey;
+    opt.tuning = 1e-7;
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const LstsqResult want = expect_masked_matches_classic(c, opt);
+    ASSERT_GT(want.iterations, 0u);
+    // Tukey weights would be hard zeros; Huber weights never are.
+    for (double w : want.weights) ASSERT_GT(w, 0.0);
+  }
+}
+
+TEST(IrlsKernel, CholeskyRejectTakesQrPathBitExact) {
+  // Column 1 = column 0 + 1e-9 noise: the normal equations square the
+  // conditioning past what Cholesky resolves, while QR on the rows still
+  // does. Search a few seeds for a system whose gram Cholesky rejects.
+  bool found = false;
+  for (std::uint64_t seed = 1; seed < 200 && !found; ++seed) {
+    std::mt19937_64 rng(seed);
+    MaskedCase c = masked_case(rng, 80, 3);
+    std::uniform_real_distribution<double> u(-1.0, 1.0);
+    for (std::size_t i = 0; i < c.a.rows(); ++i) {
+      c.a(i, 1) = c.a(i, 0) + 1e-9 * u(rng);
+    }
+    SolverWorkspace ws;
+    ws.load(c.a, c.b);
+    SmallGram g;
+    g.reset(3);
+    double rhs[kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
+    accumulate_masked(ws, c.mask.data(), g, rhs);
+    g.mirror();
+    SmallCholesky chol;
+    if (small_cholesky_factor(g, chol)) continue;
+    found = true;
+    for (RobustLoss loss :
+         {RobustLoss::kGaussian, RobustLoss::kHuber, RobustLoss::kTukey}) {
+      IrlsOptions opt;
+      opt.loss = loss;
+      SCOPED_TRACE(std::string(robust_loss_name(loss)) + " seed " +
+                   std::to_string(seed));
+      expect_masked_matches_classic(c, opt);
+    }
+  }
+  EXPECT_TRUE(found) << "no seed produced a Cholesky-rejected system";
 }
 
 }  // namespace

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace lion::linalg {
 namespace {
@@ -97,6 +106,127 @@ TEST(Stats, SummarizeBundlesAllFields) {
 
 TEST(Stats, SummarizeEmptyThrows) {
   EXPECT_THROW(summarize({}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// median_in_place exactness. Above its bracketing threshold (2048 values)
+// the routine selects inside a sample-chosen bracket, falling back to a
+// whole-buffer selection when the bracket misses; either way it must return
+// exactly (bit for bit) the median a full sort gives.
+// ---------------------------------------------------------------------------
+
+double sorted_median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_exact_median(std::vector<double> v, const std::string& what) {
+  const double want = sorted_median(v);
+  const double got = median_in_place(v.data(), v.data() + v.size());
+  EXPECT_EQ(bits(got), bits(want))
+      << what << " (n=" << v.size() << "): got " << got << ", want " << want;
+}
+
+/// Times the bracket missed (and the whole-buffer selection ran) while
+/// `fn` executed.
+template <typename Fn>
+std::uint64_t bracket_misses_during(Fn&& fn) {
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::instance().reset();
+  fn();
+  const auto snap = obs::MetricsRegistry::instance().snapshot();
+  obs::set_metrics_enabled(false);
+  for (const auto& [name, value] : snap.counters) {
+    if (name == "select.bracket_misses") return value;
+  }
+  return 0;
+}
+
+TEST(MedianInPlace, MatchesSortAcrossTheBracketThreshold) {
+  std::mt19937 rng(21);
+  std::normal_distribution<double> noise(0.0, 1.0);
+  for (std::size_t n : {1, 2, 3, 4, 255, 256, 2046, 2047, 2048, 2049, 2050,
+                        4095, 4096, 8191, 8192, 20001}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> v(n);
+      for (auto& x : v) x = noise(rng);
+      expect_exact_median(v, "gaussian");
+      // Squared residuals: the LMedS score input (heavy right tail).
+      for (auto& x : v) x = x * x * (rng() % 20 == 0 ? 900.0 : 1.0);
+      expect_exact_median(v, "squared");
+    }
+  }
+}
+
+TEST(MedianInPlace, HeavyTiesAndConstantArrays) {
+  std::mt19937 rng(22);
+  for (std::size_t n : {2047, 2048, 2049, 5000, 5001}) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = static_cast<double>(rng() % 4);
+    expect_exact_median(v, "four distinct values");
+    for (auto& x : v) x = static_cast<double>(rng() % 2);
+    expect_exact_median(v, "two distinct values");
+    expect_exact_median(std::vector<double>(n, 0.25), "constant");
+    // A constant majority with a few values either side.
+    std::vector<double> w(n, 3.0);
+    for (std::size_t i = 0; i < n / 10; ++i) w[(i * 7919) % n] = -1.0;
+    for (std::size_t i = 0; i < n / 10; ++i) w[(i * 104729 + 1) % n] = 9.0;
+    expect_exact_median(w, "constant majority");
+  }
+}
+
+TEST(MedianInPlace, StructuredOrderingsStayExact) {
+  for (std::size_t n : {2048, 4097, 10000}) {
+    std::vector<double> up(n);
+    for (std::size_t i = 0; i < n; ++i) up[i] = static_cast<double>(i);
+    expect_exact_median(up, "sorted");
+    std::vector<double> down(up.rbegin(), up.rend());
+    expect_exact_median(down, "reversed");
+    for (std::size_t period : {2, 3, 7, 16, 64, 1000}) {
+      std::vector<double> saw(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        saw[i] = static_cast<double>(i % period);
+      }
+      expect_exact_median(saw, "sawtooth " + std::to_string(period));
+    }
+  }
+}
+
+TEST(MedianInPlace, BracketMissFallsBackToFullSelection) {
+  // The sample is every 16th value of n = 4096 (offset 8). A sawtooth of
+  // period 16 puts the same tooth value 8 at every sampled position, so
+  // the bracket collapses to [8, 8] while half the buffer lies below it:
+  // the bracket misses and the whole-buffer selection must answer.
+  const std::size_t n = 4096;
+  std::vector<double> saw(n);
+  for (std::size_t i = 0; i < n; ++i) saw[i] = static_cast<double>(i % 16);
+  // Sampled positions hold the maximum: the bracket sits above the median.
+  std::vector<double> spikes(n + 1);
+  for (std::size_t i = 0; i < spikes.size(); ++i) {
+    spikes[i] = i % 16 == 8 ? 1e6 + static_cast<double>(i)
+                            : static_cast<double>(i % 5);
+  }
+  // Sampled positions hold the minimum: the bracket sits below it.
+  std::vector<double> dips(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    dips[i] = i % 16 == 8 ? -1.0 - static_cast<double>(i)
+                          : static_cast<double>(i);
+  }
+  for (const auto* v : {&saw, &spikes, &dips}) {
+    EXPECT_EQ(bracket_misses_during([&] { expect_exact_median(*v, "miss"); }),
+              1u)
+        << "bracket did not miss for n=" << v->size();
+  }
+  // A random buffer of the same size takes the bracketed path.
+  std::mt19937 rng(23);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<double> calm(n);
+  for (auto& x : calm) x = u(rng);
+  EXPECT_EQ(bracket_misses_during([&] { expect_exact_median(calm, "calm"); }),
+            0u);
 }
 
 }  // namespace

@@ -244,7 +244,7 @@ TEST(MetricsRegistry, ResetKeepsRegistrations) {
 TEST(MetricsRegistry, RegistrationCapThrows) {
   MetricsRegistry reg;
   for (std::size_t i = 0; i < kMaxCounters; ++i) {
-    reg.counter("c" + std::to_string(i));
+    reg.counter(std::string("c").append(std::to_string(i)));
   }
   EXPECT_THROW(reg.counter("one-too-many"), std::length_error);
 }
@@ -256,7 +256,8 @@ TEST(MetricsRegistry, RegistrationCapThrows) {
 TEST(MetricsRegistry, TryRegisterPastCapDegrades) {
   MetricsRegistry reg;
   for (std::size_t i = 0; i < kMaxCounters; ++i) {
-    ASSERT_NE(reg.try_counter("c" + std::to_string(i)), kInvalidMetric);
+    ASSERT_NE(reg.try_counter(std::string("c").append(std::to_string(i))),
+              kInvalidMetric);
   }
   const MetricId overflow = reg.try_counter("one-too-many");
   EXPECT_EQ(overflow, kInvalidMetric);
@@ -285,7 +286,8 @@ TEST(MetricsRegistry, TryHistogramDegradesOnCapAndBadBounds) {
   EXPECT_EQ(reg.try_histogram("bad", {}), kInvalidMetric);
   EXPECT_EQ(reg.try_histogram("bad2", {2.0, 1.0}), kInvalidMetric);
   for (std::size_t i = 0; i < kMaxHistograms; ++i) {
-    ASSERT_NE(reg.try_histogram("h" + std::to_string(i), {1.0, 2.0}),
+    ASSERT_NE(reg.try_histogram(std::string("h").append(std::to_string(i)),
+                                {1.0, 2.0}),
               kInvalidMetric);
   }
   const MetricId overflow = reg.try_histogram("one-too-many", {1.0, 2.0});

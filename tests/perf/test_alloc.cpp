@@ -166,6 +166,24 @@ TEST(AllocationContract, WarmIrlsSolveIsAllocationFree) {
   EXPECT_TRUE(std::isfinite(out.x[0]));
 }
 
+TEST(AllocationContract, WarmLargeSolveIsAllocationFree) {
+  // 4096 rows: every LMedS score and IRLS median runs the bracketed
+  // selection (above 2048 values), whose sample lives on the stack.
+  const auto p = line_problem(4096, 0.2, 15);
+  const core::RansacOptions opt;
+  linalg::SolverWorkspace ws;
+  core::RansacResult out;
+  core::ransac_solve(p.a, p.b, opt, ws, out);
+  core::ransac_solve(p.a, p.b, opt, ws, out);
+
+  const std::size_t n = allocations_during([&] {
+    for (int i = 0; i < 3; ++i) core::ransac_solve(p.a, p.b, opt, ws, out);
+  });
+  EXPECT_EQ(n, 0u) << "warmed large solve touched the heap " << n
+                   << " times";
+  ASSERT_TRUE(out.consensus);
+}
+
 TEST(AllocationContract, ReloadAcrossShapesStaysAllocationFreeOnceWarm) {
   // Alternating between two row counts after warming both: load() must
   // reuse capacity, not reallocate per shape switch.
