@@ -52,8 +52,9 @@ void register_pipeline_metrics() {
         "serve.samples", "serve.requests", "serve.errors", "serve.evictions",
         "serve.backpressure_waits", "serve.rejected_busy", "serve.timeouts",
         "serve.oversized", "serve.ticks", "serve.tick_fallbacks",
-        "serve.replay_solves", "adaptive.cells", "adaptive.cells_offloaded",
-        "select.bracket_misses"}) {
+        "serve.replay_solves", "serve.replay_memo_restores",
+        "serve.replay_memo_failures", "adaptive.cells",
+        "adaptive.cells_offloaded", "select.bracket_misses"}) {
     (void)reg.try_counter(name);
   }
   (void)reg.try_histogram("ransac.inlier_fraction", fraction_bounds());

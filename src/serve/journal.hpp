@@ -71,8 +71,13 @@ enum class JournalRecordType : std::uint8_t {
   kFlush = 4,       ///< flush boundary (line empty)
   kPoseTick = 5,    ///< pose tick emitted for this session (line empty)
   kCalFlush = 6,    ///< calibrate flush decided (line empty)
-  kCalAnchor = 7,   ///< calibrate flush memo installed; line = decimal
-                    ///< sample count the anchoring batch solve consumed
+  kCalAnchor = 7,   ///< calibrate flush memo installed; line =
+                    ///< `<samples> <digest> <report json>`: the sample
+                    ///< count the solve consumed, cal_buffer_digest of
+                    ///< that prefix (16 hex digits) and the report's
+                    ///< io::report_json bytes (serve/session.hpp
+                    ///< cal_anchor_line). Older daemons wrote the bare
+                    ///< count; restore re-solves those.
 };
 
 /// One decoded record.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <cstddef>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -10,6 +10,7 @@
 
 #include "core/calibration.hpp"
 #include "engine/pool_executor.hpp"
+#include "io/report_json.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/process.hpp"
@@ -405,11 +406,10 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
 
 void StreamService::replay_records(StreamSession& session,
                                    const RecoveredSession& rec) {
-  // Sample-count prefix of the last replayable kCalAnchor. Each install
-  // replaces the whole memo, so re-solving only the last anchor restores
-  // exactly what re-solving every one in order would — at one solve per
-  // restore, however many flushes the session has seen.
-  std::optional<std::size_t> anchor_samples;
+  // The last replayable kCalAnchor. Each install replaces the whole memo,
+  // so restoring only the last anchor restores exactly what replaying
+  // every one in order would, however many flushes the session has seen.
+  std::optional<CalAnchor> anchor;
   for (const JournalRecord& record : rec.records) {
     switch (record.type) {
       case JournalRecordType::kDeclare:
@@ -451,34 +451,53 @@ void StreamService::replay_records(StreamSession& session,
         break;
       case JournalRecordType::kCalAnchor: {
         if (session.config.mode != SessionMode::kCalibrate) break;
-        char* end = nullptr;
-        const unsigned long long n =
-            std::strtoull(record.line.c_str(), &end, 10);
-        if (end == record.line.c_str() || n > session.buffer.size()) break;
-        anchor_samples = static_cast<std::size_t>(n);
+        std::optional<CalAnchor> parsed = parse_cal_anchor(record.line);
+        if (parsed && parsed->samples <= session.buffer.size()) {
+          anchor = parsed;
+        }
         break;
       }
     }
   }
-  if (!anchor_samples) return;
-  // Re-run the batch solve the live path ran, over the recorded prefix
-  // (the buffer only grows, so the prefix is the one the anchor saw) —
-  // the pipeline is deterministic, so the restored memo (digest and
-  // report bytes) is identical to the pre-crash one.
-  // This thread is not a pool worker, so every pool thread may help.
-  LION_OBS_COUNT("serve.replay_solves", 1);
+  if (!anchor) return;
   try {
+    // The buffer only grows, so its prefix is the buffer the anchor's
+    // solve saw. When the prefix digest matches, the journaled bytes ARE
+    // the pre-crash memo: install them without solving.
+    const std::uint64_t digest =
+        cal_buffer_digest(session.buffer.data(), anchor->samples);
+    if (anchor->has_report) {
+      if (anchor->digest == digest) {
+        session.memo.install(anchor->samples, digest,
+                             std::string(anchor->report_json));
+        LION_OBS_COUNT("serve.replay_memo_restores", 1);
+        return;
+      }
+      event(obs::Severity::kWarn, "restore_memo_mismatch", session.id,
+            "anchor digest differs from the replayed prefix; re-solving",
+            anchor->samples);
+    }
+    // A bare-count anchor (older daemons) or a digest mismatch: re-run
+    // the batch solve the live path ran over the prefix. The pipeline is
+    // deterministic, so the rebuilt memo is the pre-crash one. This
+    // thread is not a pool worker, so every pool thread may help.
+    LION_OBS_COUNT("serve.replay_solves", 1);
     const std::vector<sim::PhaseSample> prefix(
         session.buffer.begin(),
-        session.buffer.begin() + static_cast<std::ptrdiff_t>(*anchor_samples));
+        session.buffer.begin() + static_cast<std::ptrdiff_t>(anchor->samples));
     engine::PoolSweepExecutor helpers(*pool_, pool_->thread_count());
     session.memo.install(
-        prefix, core::calibrate_antenna_robust(
-                    prefix, session.config.center, session.config.calibration,
-                    &engine::thread_workspace(), &helpers));
+        prefix.size(), digest,
+        io::report_json(core::calibrate_antenna_robust(
+            prefix, session.config.center, session.config.calibration,
+            &engine::thread_workspace(), &helpers)));
   } catch (...) {
     // A memo that cannot be rebuilt stays empty: every post-restore
     // flush takes the full solve — degraded, never wrong.
+    LION_OBS_COUNT("serve.replay_memo_failures", 1);
+    event(obs::Severity::kWarn, "restore_memo_failed", session.id,
+          "could not rebuild the calibrate memo; next flush re-solves",
+          anchor->samples);
   }
 }
 
@@ -749,7 +768,7 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
       ++session.requests;
       const std::uint64_t seq = reserve_seq();
       std::string response =
-          report_response(id, seq, session.memo.report, "memo");
+          report_response(id, seq, session.memo.report_json, "memo");
       // Same durability boundary as the scheduled path: the flush is
       // journaled and fsynced before the ack leaves the service.
       journal_append(session, JournalRecordType::kCalFlush, "");
@@ -966,10 +985,12 @@ void StreamService::run_request(SolveRequest& request) {
   bool timed_out = false;
   bool failed = false;
   std::string response;
-  // A completed calibrate flush carries its report out of the try block:
-  // the accounting pass installs it as the session's next memo (never on
-  // timeout — a deadline report is not the batch answer for these rows).
-  core::CalibrationReport cal_report;
+  // A completed calibrate flush carries its rendered report and buffer
+  // digest out of the try block: the accounting pass installs them as the
+  // session's next memo (never on timeout — a deadline report is not the
+  // batch answer for these rows).
+  std::string cal_report;
+  std::uint64_t cal_digest = 0;
   bool cal_solved = false;
   const std::uint64_t solve_start = obs::trace_now_ns();
   try {
@@ -991,9 +1012,13 @@ void StreamService::run_request(SolveRequest& request) {
             &helpers);
         cal_solved = true;
       }
-      response =
-          report_response(request.session, request.seq, report, "fallback");
-      if (cal_solved && request.cal_flush) cal_report = std::move(report);
+      std::string rendered = io::report_json(report);
+      response = report_response(request.session, request.seq, rendered,
+                                 "fallback");
+      if (cal_solved && request.cal_flush) {
+        cal_digest = cal_buffer_digest(request.samples);
+        cal_report = std::move(rendered);
+      }
     } else {
       core::TrackFix fix;
       if (timed_out) {
@@ -1050,9 +1075,10 @@ void StreamService::run_request(SolveRequest& request) {
         // fallback solves complete out of order).
         if (!session.memo.valid ||
             request.samples.size() > session.memo.samples) {
-          session.memo.install(request.samples, std::move(cal_report));
+          session.memo.install(request.samples.size(), cal_digest,
+                               std::move(cal_report));
           journal_append(session, JournalRecordType::kCalAnchor,
-                         std::to_string(request.samples.size()));
+                         cal_anchor_line(session.memo));
         }
       }
       record_span(session, request.trace_id, obs::Stage::kQueueWait,

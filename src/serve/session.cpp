@@ -1,9 +1,11 @@
 #include "serve/session.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstring>
+#include <system_error>
 #include <utility>
 
-#include "io/report_json.hpp"
 #include "obs/json.hpp"
 
 namespace lion::serve {
@@ -126,7 +128,8 @@ core::TrackFix solve_track_window(
   return fix;
 }
 
-std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer) {
+std::uint64_t cal_buffer_digest(const sim::PhaseSample* samples,
+                                std::size_t count) {
   std::uint64_t h = 1469598103934665603ULL;
   const auto mix64 = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -139,7 +142,8 @@ std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer) {
     std::memcpy(&bits, &d, sizeof(bits));
     mix64(bits);
   };
-  for (const auto& s : buffer) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const sim::PhaseSample& s = samples[i];
     mixd(s.t);
     mixd(s.position[0]);
     mixd(s.position[1]);
@@ -151,12 +155,16 @@ std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer) {
   return h;
 }
 
-void CalMemo::install(const std::vector<sim::PhaseSample>& buffer,
-                      core::CalibrationReport solved) {
+std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer) {
+  return cal_buffer_digest(buffer.data(), buffer.size());
+}
+
+void CalMemo::install(std::size_t solved_samples, std::uint64_t solved_digest,
+                      std::string solved_json) {
   valid = true;
-  samples = buffer.size();
-  digest = cal_buffer_digest(buffer);
-  report = std::move(solved);
+  samples = solved_samples;
+  digest = solved_digest;
+  report_json = std::move(solved_json);
 }
 
 bool CalMemo::matches(const std::vector<sim::PhaseSample>& buffer) const {
@@ -164,14 +172,42 @@ bool CalMemo::matches(const std::vector<sim::PhaseSample>& buffer) const {
          cal_buffer_digest(buffer) == digest;
 }
 
+std::string cal_anchor_line(const CalMemo& memo) {
+  char head[48];
+  const int n = std::snprintf(head, sizeof head, "%zu %016llx ", memo.samples,
+                              static_cast<unsigned long long>(memo.digest));
+  std::string out(head, static_cast<std::size_t>(n));
+  out += memo.report_json;
+  return out;
+}
+
+std::optional<CalAnchor> parse_cal_anchor(std::string_view line) {
+  CalAnchor out;
+  const char* const end = line.data() + line.size();
+  const auto count = std::from_chars(line.data(), end, out.samples);
+  if (count.ec != std::errc()) return std::nullopt;
+  // ` <16 hex> <json>`: anything else after the count is a bare anchor.
+  std::string_view rest(count.ptr, static_cast<std::size_t>(end - count.ptr));
+  constexpr std::size_t kHex = 16;
+  if (rest.size() < kHex + 3 || rest[0] != ' ' || rest[kHex + 1] != ' ') {
+    return out;
+  }
+  const char* const hex = rest.data() + 1;
+  const auto digest = std::from_chars(hex, hex + kHex, out.digest, 16);
+  if (digest.ec != std::errc() || digest.ptr != hex + kHex) return out;
+  out.has_report = true;
+  out.report_json = rest.substr(kHex + 2);
+  return out;
+}
+
 std::string report_response(const std::string& session, std::uint64_t seq,
-                            const core::CalibrationReport& report,
+                            std::string_view report_json,
                             const char* source) {
   std::string out = envelope("lion.report.v1", session, seq);
   out += ",\"source\":\"";
   out += source;
   out += "\",\"report\":";
-  out += io::report_json(report);
+  out += report_json;
   out.push_back('}');
   return out;
 }

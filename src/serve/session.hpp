@@ -13,7 +13,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/calibration.hpp"
@@ -73,27 +75,52 @@ core::IncrementalTrackConfig incremental_config(const SessionConfig& config);
 
 /// Order-dependent FNV-1a digest of every sample field's bit pattern, so
 /// -0.0 vs 0.0 and NaN payloads count as changes: the memo never equates
-/// buffers the solver could tell apart.
+/// buffers the solver could tell apart. The pointer form digests the first
+/// `count` samples of a buffer (a journaled anchor's prefix) in place.
+std::uint64_t cal_buffer_digest(const sim::PhaseSample* samples,
+                                std::size_t count);
 std::uint64_t cal_buffer_digest(const std::vector<sim::PhaseSample>& buffer);
 
 /// A calibrate session's flush memo. The solve pipeline is deterministic,
-/// so while the buffer is bitwise the one `report` was solved over, that
-/// report IS the answer to a `!flush`, whatever its status. It advances
-/// only when a full solve completes (journaled as kCalAnchor), so journal
-/// replay rebuilds it by re-solving the recorded sample-count prefix.
+/// so while the buffer is bitwise the one the report was solved over,
+/// that report IS the answer to a `!flush`, whatever its status. The memo
+/// keeps the report's rendered io::report_json bytes, so a memo answer
+/// re-renders nothing. It advances only when a full solve completes, and
+/// each install is journaled as a kCalAnchor carrying those bytes
+/// (cal_anchor_line), which is what journal replay restores.
 struct CalMemo {
   bool valid = false;
-  std::size_t samples = 0;  ///< buffer size the report was solved over
+  std::size_t samples = 0;   ///< buffer size the report was solved over
   std::uint64_t digest = 0;  ///< cal_buffer_digest of that buffer
-  core::CalibrationReport report;
+  std::string report_json;   ///< io::report_json bytes of the report
 
-  /// Adopt the report of a full solve over exactly `buffer`.
-  void install(const std::vector<sim::PhaseSample>& buffer,
-               core::CalibrationReport solved);
+  /// Adopt the rendered report of a full solve over a buffer of `samples`
+  /// samples whose cal_buffer_digest is `digest`.
+  void install(std::size_t samples, std::uint64_t digest,
+               std::string report_json);
   /// True when `buffer` is bitwise the solved one: same size, same digest.
   /// The digest also catches a carved or mutated buffer of equal size.
   bool matches(const std::vector<sim::PhaseSample>& buffer) const;
 };
+
+/// kCalAnchor payload of an installed memo: `<samples> <digest> <report
+/// json>`, the sample count in decimal and the digest as 16 lowercase hex
+/// digits.
+std::string cal_anchor_line(const CalMemo& memo);
+
+/// A decoded kCalAnchor payload.
+struct CalAnchor {
+  std::size_t samples = 0;
+  /// False for a bare `<samples>` anchor (older daemons journaled only
+  /// the count) or any payload whose tail is not ` <16 hex> <json>`:
+  /// restore must then re-solve the prefix to rebuild the memo.
+  bool has_report = false;
+  std::uint64_t digest = 0;
+  std::string_view report_json;  ///< views the parsed line
+};
+
+/// Parse a kCalAnchor payload; nullopt when it has no leading count.
+std::optional<CalAnchor> parse_cal_anchor(std::string_view line);
 
 /// One demultiplexed stream.
 struct StreamSession {
@@ -163,12 +190,13 @@ core::TrackFix solve_track_window(
 // Response serialization (deterministic: fixed key order, %.17g numbers).
 // ---------------------------------------------------------------------------
 
-/// `!flush` answer for a calibrate session (lion.report.v1). `source` is
-/// "memo" when the buffer still matched the last full solve's (CalMemo)
-/// and "fallback" when the full batch pipeline ran; both serialize
-/// through this one function, so the bytes differ only in the tag.
+/// `!flush` answer for a calibrate session (lion.report.v1) around the
+/// report's io::report_json bytes. `source` is "memo" when the buffer
+/// still matched the last full solve's (CalMemo) and "fallback" when the
+/// full batch pipeline ran; both serialize through this one function, so
+/// the bytes differ only in the tag.
 std::string report_response(const std::string& session, std::uint64_t seq,
-                            const core::CalibrationReport& report,
+                            std::string_view report_json,
                             const char* source);
 
 std::string fix_response(const std::string& session, std::uint64_t seq,

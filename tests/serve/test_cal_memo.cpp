@@ -243,9 +243,10 @@ TEST(IncrementalCal, MemoFlushIsByteIdentical) {
   ASSERT_EQ(report.status, core::CalibrationStatus::kOk);
 
   CalMemo memo;
-  memo.install(stream, report);
+  memo.install(stream.size(), cal_buffer_digest(stream),
+               io::report_json(report));
   ASSERT_TRUE(memo.matches(stream));
-  EXPECT_EQ(io::report_json(memo.report), io::report_json(report));
+  EXPECT_EQ(memo.report_json, io::report_json(report));
 }
 
 TEST(IncrementalCal, MemoServesNonOkAnchorsToo) {
@@ -261,9 +262,10 @@ TEST(IncrementalCal, MemoServesNonOkAnchorsToo) {
       core::calibrate_antenna_robust(stream, linalg::Vec3{0.0, 0.8, 0.0});
   ASSERT_EQ(report.status, core::CalibrationStatus::kDegenerateGeometry);
   CalMemo memo;
-  memo.install(stream, report);
+  memo.install(stream.size(), cal_buffer_digest(stream),
+               io::report_json(report));
   ASSERT_TRUE(memo.matches(stream));
-  EXPECT_EQ(io::report_json(memo.report), io::report_json(report));
+  EXPECT_EQ(memo.report_json, io::report_json(report));
 }
 
 TEST(IncrementalCal, WarmAppendFlushIsByteIdenticalToBatch) {
@@ -396,7 +398,8 @@ TEST(IncrementalCal, CarveTripsOnTruncationAndOnPrefixMutation) {
   ASSERT_GT(stream.size(), 10u);
   CalMemo memo;
   EXPECT_FALSE(memo.matches(stream));  // nothing installed yet
-  memo.install(stream, core::CalibrationReport{});
+  memo.install(stream.size(), cal_buffer_digest(stream),
+               io::report_json(core::CalibrationReport{}));
   EXPECT_TRUE(memo.matches(stream));
 
   auto truncated = stream;
@@ -433,6 +436,49 @@ TEST(IncrementalCal, DigestDetectsEveryFieldFlip) {
   auto swapped = stream;
   std::swap(swapped[1], swapped[2]);
   EXPECT_NE(base, cal_buffer_digest(swapped));
+}
+
+TEST(IncrementalCal, AnchorLineRoundTripsTheMemo) {
+  const auto rows = rig_rows();
+  const auto stream = parsed(rows, rows.size());
+  CalMemo memo;
+  memo.install(stream.size(), cal_buffer_digest(stream),
+               io::report_json(core::CalibrationReport{}));
+  const std::string line = cal_anchor_line(memo);
+  // `<samples> <16 hex digits> <json>`: the digest keeps its leading zeros.
+  EXPECT_EQ(line.substr(0, line.find(' ')), std::to_string(stream.size()));
+  EXPECT_EQ(line.find(' ', line.find(' ') + 1) - line.find(' '), 17u);
+
+  const auto anchor = parse_cal_anchor(line);
+  ASSERT_TRUE(anchor.has_value());
+  EXPECT_TRUE(anchor->has_report);
+  EXPECT_EQ(anchor->samples, memo.samples);
+  EXPECT_EQ(anchor->digest, memo.digest);
+  EXPECT_EQ(anchor->report_json, memo.report_json);
+
+  memo.digest = 0x00000000000000abULL;
+  const auto small = parse_cal_anchor(cal_anchor_line(memo));
+  ASSERT_TRUE(small.has_value());
+  EXPECT_EQ(small->digest, 0xabULL);
+}
+
+TEST(IncrementalCal, AnchorWithoutDigestAndReportIsBare) {
+  // Older daemons journaled the bare sample count; a tail that is not
+  // ` <16 hex> <json>` gets the same treatment (restore re-solves).
+  for (const char* line :
+       {"4476", "4476 ", "4476 00112233445566", "4476 0011223344556677",
+        "4476 0011223344556677 ", "4476 00112233445566zz {}",
+        "4476 -011223344556677 {}", "4476x0011223344556677 {}"}) {
+    SCOPED_TRACE(line);
+    const auto anchor = parse_cal_anchor(line);
+    ASSERT_TRUE(anchor.has_value());
+    EXPECT_EQ(anchor->samples, 4476u);
+    EXPECT_FALSE(anchor->has_report);
+  }
+  for (const char* line : {"", " 4476", "x", "-1"}) {
+    SCOPED_TRACE(line);
+    EXPECT_FALSE(parse_cal_anchor(line).has_value());
+  }
 }
 
 TEST(IncrementalCal, BatchPipelineIsPureAcrossWorkspaceReuse) {

@@ -2,9 +2,10 @@
 // borrows idle pool workers for its sweep cells, yet never waits for one.
 // A 1-thread pool, a pool whose workers are all stuck on the service
 // mutex, and a service torn down while its helpers are still queued must
-// all complete with the batch bytes. Restore cost is pinned here too: a
-// restore re-solves only the session's last anchor, however many flushes
-// its journal holds.
+// all complete with the batch bytes. The restore tests solve through the
+// same fan-out by replaying bare-count anchors (the re-solve path); restore
+// cost is pinned here too: a journal this daemon wrote restores its last
+// memo from the anchor bytes, with no solve, however many flushes it holds.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,8 @@
 #include "serve/session.hpp"
 #include "serve/wire.hpp"
 #include "sim/trajectory.hpp"
+
+#include "journal_edit.hpp"
 
 namespace lion::serve {
 namespace {
@@ -204,7 +207,7 @@ TEST_F(FanoutServe, OneThreadPoolFlushMatchesBatch) {
       << got[0];
 }
 
-TEST_F(FanoutServe, RestoreRunsOneReplaySolveWhateverTheFlushHistory) {
+TEST_F(FanoutServe, RestoreInstallsTheJournaledMemoWhateverTheFlushHistory) {
   for (const std::size_t flushes : {1u, 6u}) {
     SCOPED_TRACE("flushes=" + std::to_string(flushes));
     const auto input = session_input(flushes);
@@ -224,15 +227,17 @@ TEST_F(FanoutServe, RestoreRunsOneReplaySolveWhateverTheFlushHistory) {
       EXPECT_GE(anchors, flushes > 1 ? 2u : 1u);
     }
     Daemon p2(dir.path);
-    const std::uint64_t before = counter("serve.replay_solves");
+    const std::uint64_t solves = counter("serve.replay_solves");
+    const std::uint64_t installs = counter("serve.replay_memo_restores");
     p2.service->ingest_line(kDeclare);
     EXPECT_TRUE(has_restore_ack(p2.output()));
-    EXPECT_EQ(counter("serve.replay_solves") - before, 1u);
+    EXPECT_EQ(counter("serve.replay_solves") - solves, 0u);
+    EXPECT_EQ(counter("serve.replay_memo_restores") - installs, 1u);
     p2.feed({"!flush cal"});
     const auto got = reports(p2.output());
     ASSERT_EQ(got.size(), 1u);
     // Same bytes (source tag included) as the uninterrupted session's
-    // next flush: the one replayed anchor is the state all of them built.
+    // next flush: the last anchor's bytes are the state all of them built.
     EXPECT_EQ(got[0], want.back());
   }
 }
@@ -245,10 +250,11 @@ TEST_F(FanoutServe, RestoreCompletesWhilePoolWorkersWaitOnTheServiceMutex) {
 
   TempDir dir;
   { Daemon(dir.path).feed(input); }
+  ASSERT_EQ(strip_anchor_reports(dir.path + "/cal.lionj"), 1u);
 
   // Both pool workers loop on the service mutex until the restore is
-  // over, so none can run a sweep helper meanwhile: the replay solve
-  // must finish on the restoring thread alone.
+  // over, so none can run a sweep helper meanwhile: the replay solve of
+  // the bare anchor must finish on the restoring thread alone.
   engine::ThreadPool pool(2);
   Daemon p2(dir.path, &pool);
   std::atomic<bool> restored{false};
@@ -280,10 +286,12 @@ TEST_F(FanoutServe, ServiceTeardownWithQueuedHelpersIsClean) {
   const auto input = session_input(1);
   TempDir dir;
   { Daemon(dir.path).feed(input); }
+  ASSERT_EQ(strip_anchor_reports(dir.path + "/cal.lionj"), 1u);
 
-  // The only worker is parked, so the restore's sweep helpers stay
-  // queued until after the service (and everything its solve used) is
-  // gone. When they finally run they must find nothing left to claim.
+  // The only worker is parked, so the sweep helpers of the bare anchor's
+  // replay solve stay queued until after the service (and everything its
+  // solve used) is gone. When they finally run they must find nothing
+  // left to claim.
   engine::ThreadPool pool(1);
   std::promise<void> release;
   const std::shared_future<void> gate = release.get_future().share();

@@ -27,10 +27,15 @@
 #include "core/calibration.hpp"
 #include "io/csv.hpp"
 #include "io/report_json.hpp"
+#include "obs/events.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "rf/phase_model.hpp"
 #include "serve/journal.hpp"
 #include "serve/service.hpp"
 #include "sim/trajectory.hpp"
+
+#include "journal_edit.hpp"
 
 namespace lion {
 namespace {
@@ -158,7 +163,8 @@ struct Process {
   std::unique_ptr<serve::JournalStore> store;
   std::unique_ptr<serve::StreamService> service;
 
-  explicit Process(const std::string& dir) {
+  explicit Process(const std::string& dir,
+                   obs::EventLog* events = nullptr) {
     serve::JournalStoreConfig jcfg;
     jcfg.dir = dir;
     jcfg.fsync_every = 8;
@@ -167,6 +173,7 @@ struct Process {
     serve::ServiceConfig cfg;
     cfg.threads = 2;
     cfg.journal = store.get();
+    cfg.events = events;
     service = std::make_unique<serve::StreamService>(
         cfg, [this](std::string_view line) { lines.emplace_back(line); });
   }
@@ -691,6 +698,109 @@ TEST(Recovery, PostRestoreCalibrateFlushAnswersMemo) {
     return key == std::string::npos ? std::string() : line.substr(key);
   };
   EXPECT_EQ(payload(restored_report), payload(last_report));
+}
+
+/// Registry counter value (0 when absent).
+std::uint64_t counter(const char* name) {
+  for (const auto& [n, v] :
+       obs::MetricsRegistry::instance().snapshot().counters) {
+    if (n == name) return v;
+  }
+  return 0;
+}
+
+/// The `"report":...` tail of a report line: its payload without the
+/// envelope's seq.
+std::string report_payload(const std::string& line) {
+  const auto key = line.find("\"report\":");
+  return key == std::string::npos ? std::string() : line.substr(key);
+}
+
+struct RestoredFlush {
+  std::string report;  ///< the flush's report line ("" when none arrived)
+  std::uint64_t replay_solves = 0;  ///< counter deltas over the restore
+  std::uint64_t memo_restores = 0;
+};
+
+/// Restore the calibrate session `cal` journaled in `dir` by re-sending
+/// `declare`, then flush it once with no new rows.
+RestoredFlush restore_and_flush(const std::string& dir,
+                                const std::string& declare,
+                                obs::EventLog* events = nullptr) {
+  obs::set_metrics_enabled(true);
+  const std::uint64_t solves = counter("serve.replay_solves");
+  const std::uint64_t installs = counter("serve.replay_memo_restores");
+  RestoredFlush out;
+  Process p(dir, events);
+  p.service->ingest_line(declare);
+  EXPECT_FALSE(p.restore_ack("cal").empty());
+  out.replay_solves = counter("serve.replay_solves") - solves;
+  out.memo_restores = counter("serve.replay_memo_restores") - installs;
+  obs::set_metrics_enabled(false);
+  p.service->ingest_line("!flush cal");
+  p.service->drain();
+  const auto post = sequenced(p.lines);
+  if (!post.empty()) out.report = post.back();
+  return out;
+}
+
+// Journals written before anchors carried the memo's bytes hold a bare
+// sample count. They still restore: one replay solve rebuilds the memo,
+// and the next flush answers memo with the pre-crash bytes.
+TEST(Recovery, LegacyBareCountAnchorRestoresWithOneReplaySolve) {
+  const auto input = cal_tiered_input();
+  const auto baseline = sequenced(run_plain(input));
+  ASSERT_FALSE(baseline.empty());
+  TempDir dir;
+  Process(dir.path).feed(input, 0, input.size());
+  ASSERT_EQ(serve::strip_anchor_reports(dir.path + "/cal.lionj"), 2u);
+
+  const RestoredFlush got = restore_and_flush(dir.path, input[0]);
+  EXPECT_EQ(got.replay_solves, 1u);
+  EXPECT_EQ(got.memo_restores, 0u);
+  EXPECT_NE(got.report.find("\"source\":\"memo\""), std::string::npos)
+      << got.report;
+  EXPECT_EQ(report_payload(got.report), report_payload(baseline.back()));
+}
+
+// An anchor whose digest disagrees with the replayed prefix is never
+// trusted: its bytes (forged here) are not installed, restore re-solves
+// the prefix and says so with a restore_memo_mismatch warning.
+TEST(Recovery, AnchorDigestMismatchReSolvesInsteadOfInstalling) {
+  const auto input = cal_tiered_input();
+  const auto baseline = sequenced(run_plain(input));
+  ASSERT_FALSE(baseline.empty());
+  TempDir dir;
+  Process(dir.path).feed(input, 0, input.size());
+  std::size_t anchors = 0;
+  serve::edit_journal(dir.path + "/cal.lionj", [&](serve::JournalRecord& r) {
+    if (r.type != serve::JournalRecordType::kCalAnchor) return;
+    const auto anchor = serve::parse_cal_anchor(r.line);
+    ASSERT_TRUE(anchor && anchor->has_report) << r.line;
+    serve::CalMemo forged;
+    forged.install(anchor->samples, anchor->digest ^ 1,
+                   "{\"forged\":true}");
+    r.line = serve::cal_anchor_line(forged);
+    ++anchors;
+  });
+  ASSERT_EQ(anchors, 2u);
+
+  obs::EventLog events;
+  const RestoredFlush got = restore_and_flush(dir.path, input[0], &events);
+  EXPECT_EQ(got.replay_solves, 1u);
+  EXPECT_EQ(got.memo_restores, 0u);
+  std::size_t mismatches = 0;
+  for (const auto& e : events.snapshot()) {
+    if (e.type != "restore_memo_mismatch") continue;
+    ++mismatches;
+    EXPECT_EQ(e.severity, obs::Severity::kWarn);
+    EXPECT_EQ(e.session, "cal");
+  }
+  EXPECT_EQ(mismatches, 1u);  // only the last anchor is consulted
+  EXPECT_EQ(got.report.find("forged"), std::string::npos) << got.report;
+  EXPECT_NE(got.report.find("\"source\":\"memo\""), std::string::npos)
+      << got.report;
+  EXPECT_EQ(report_payload(got.report), report_payload(baseline.back()));
 }
 
 // A closed session's journal is gone: re-declaring after a clean close is
