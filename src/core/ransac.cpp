@@ -217,13 +217,13 @@ std::size_t candidate_pass(const linalg::SolverWorkspace& ws, const double* x,
   }
 }
 
-void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
-                        const RansacOptions& options,
+// Over the system already loaded into `ws` (at most kSmallMaxCols
+// columns, at least as many rows).
+void ransac_solve_small(const RansacOptions& options,
                         linalg::SolverWorkspace& ws, RansacResult& out,
                         const char* warm_mask = nullptr) {
-  const std::size_t n = a.rows();
-  const std::size_t p = a.cols();
-  ws.load(a, b);
+  const std::size_t n = ws.rows();
+  const std::size_t p = ws.cols();
   if (n < p + 3) {
     full_row_fallback_ws(ws, options, 0, out);
     return;
@@ -293,7 +293,7 @@ void ransac_solve_small(const linalg::Matrix& a, const std::vector<double>& b,
       std::swap(ws.indices[i], ws.indices[j]);
     }
     LION_OBS_COUNT("ransac.iterations", 1);
-    // Minimal-subset solve straight from the cached row products.
+    // Minimal-subset solve straight from the workspace rows.
     linalg::SmallGram g;
     g.reset(p);
     double rhs[linalg::kSmallMaxCols] = {0.0, 0.0, 0.0, 0.0};
@@ -387,10 +387,20 @@ void ransac_solve(const linalg::Matrix& a, const std::vector<double>& b,
     throw std::invalid_argument("ransac_solve: underdetermined system");
   }
   if (p != 0 && p <= linalg::kSmallMaxCols) {
-    ransac_solve_small(a, b, options, ws, out);
+    ws.load(a, b);
+    ransac_solve_small(options, ws, out);
   } else {
     ransac_solve_general(a, b, options, out);
   }
+}
+
+void ransac_solve_loaded(const RansacOptions& options,
+                         linalg::SolverWorkspace& ws, RansacResult& out) {
+  LION_OBS_SPAN(obs::Stage::kRansac);
+  if (ws.rows() < ws.cols()) {
+    throw std::invalid_argument("ransac_solve: underdetermined system");
+  }
+  ransac_solve_small(options, ws, out);
 }
 
 RansacResult ransac_solve(const linalg::Matrix& a,
@@ -425,7 +435,8 @@ void ransac_solve_warm(const linalg::Matrix& a, const std::vector<double>& b,
   }
   const bool usable_prior = prior_inliers.size() == n;
   if (p != 0 && p <= linalg::kSmallMaxCols) {
-    ransac_solve_small(a, b, options, ws, out,
+    ws.load(a, b);
+    ransac_solve_small(options, ws, out,
                        usable_prior ? prior_inliers.data() : nullptr);
   } else {
     // The wide path has no warm seeding (LION never produces p > 4);

@@ -72,6 +72,13 @@ void ransac_solve(const linalg::Matrix& a, const std::vector<double>& b,
                   const RansacOptions& options, linalg::SolverWorkspace& ws,
                   RansacResult& out);
 
+/// Same solve over the system already loaded into `ws` (built in place
+/// with SolverWorkspace::reshape / commit, so cols() <= kSmallMaxCols):
+/// bit-identical to ransac_solve on that system. Throws
+/// std::invalid_argument when it has fewer rows than columns.
+void ransac_solve_loaded(const RansacOptions& options,
+                         linalg::SolverWorkspace& ws, RansacResult& out);
+
 /// Warm-started consensus solve for sliding-window callers: seed the
 /// sampling tournament with the OLS fit over `prior_inliers` (the previous
 /// window's consensus mask, mapped onto this system's rows — one char per

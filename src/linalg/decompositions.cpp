@@ -123,37 +123,55 @@ double PartialPivLU::determinant() const {
 
 // ----------------------------------------------------------- HouseholderQR
 
+void householder_factor(double* a, std::size_t m, std::size_t n,
+                        double* beta) {
+  // a(i, k) of the row-major m x n matrix.
+  const auto at = [a, n](std::size_t i, std::size_t k) -> double& {
+    return a[i * n + k];
+  };
+  for (std::size_t k = 0; k < n; ++k) beta[k] = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    // Build the reflector for column k from rows k..m-1.
+    double norm2 = 0.0;
+    for (std::size_t i = k; i < m; ++i) norm2 += at(i, k) * at(i, k);
+    const double norm = std::sqrt(norm2);
+    if (norm == 0.0) continue;  // zero column: nothing to eliminate
+    const double alpha = at(k, k) >= 0 ? -norm : norm;
+    const double v0 = at(k, k) - alpha;
+    // v = (v0, a_{k+1,k}, ..., a_{m-1,k}); store v/v0 below the diagonal so
+    // the implicit leading entry is 1.
+    const double vnorm2 = v0 * v0 + (norm2 - at(k, k) * at(k, k));
+    if (vnorm2 == 0.0) continue;
+    beta[k] = 2.0 * v0 * v0 / vnorm2;
+    for (std::size_t i = k + 1; i < m; ++i) at(i, k) /= v0;
+    at(k, k) = alpha;  // R diagonal
+    // Apply the reflector to the remaining columns.
+    for (std::size_t j = k + 1; j < n; ++j) {
+      double s = at(k, j);
+      for (std::size_t i = k + 1; i < m; ++i) s += at(i, k) * at(i, j);
+      s *= beta[k];
+      at(k, j) -= s;
+      for (std::size_t i = k + 1; i < m; ++i) at(i, j) -= s * at(i, k);
+    }
+  }
+}
+
+double r_condition_estimate(const double* qr, std::size_t n) {
+  std::vector<double> d(n);
+  for (std::size_t i = 0; i < n; ++i) d[i] = std::abs(qr[i * n + i]);
+  const auto [mn, mx] = std::minmax_element(d.begin(), d.end());
+  if (*mn == 0.0) return std::numeric_limits<double>::infinity();
+  return *mx / *mn;
+}
+
 HouseholderQR::HouseholderQR(Matrix a) : qr_(std::move(a)) {
   const std::size_t m = qr_.rows();
   const std::size_t n = qr_.cols();
   if (m < n) {
     throw std::invalid_argument("HouseholderQR: needs rows >= cols");
   }
-  beta_.assign(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k) {
-    // Build the reflector for column k from rows k..m-1.
-    double norm2 = 0.0;
-    for (std::size_t i = k; i < m; ++i) norm2 += qr_(i, k) * qr_(i, k);
-    const double norm = std::sqrt(norm2);
-    if (norm == 0.0) continue;  // zero column: nothing to eliminate
-    const double alpha = qr_(k, k) >= 0 ? -norm : norm;
-    const double v0 = qr_(k, k) - alpha;
-    // v = (v0, a_{k+1,k}, ..., a_{m-1,k}); store v/v0 below the diagonal so
-    // the implicit leading entry is 1.
-    const double vnorm2 = v0 * v0 + (norm2 - qr_(k, k) * qr_(k, k));
-    if (vnorm2 == 0.0) continue;
-    beta_[k] = 2.0 * v0 * v0 / vnorm2;
-    for (std::size_t i = k + 1; i < m; ++i) qr_(i, k) /= v0;
-    qr_(k, k) = alpha;  // R diagonal
-    // Apply the reflector to the remaining columns.
-    for (std::size_t j = k + 1; j < n; ++j) {
-      double s = qr_(k, j);
-      for (std::size_t i = k + 1; i < m; ++i) s += qr_(i, k) * qr_(i, j);
-      s *= beta_[k];
-      qr_(k, j) -= s;
-      for (std::size_t i = k + 1; i < m; ++i) qr_(i, j) -= s * qr_(i, k);
-    }
-  }
+  beta_.resize(n);
+  householder_factor(qr_.row_data(0), m, n, beta_.data());
 }
 
 std::vector<double> HouseholderQR::solve(const std::vector<double>& b) const {
@@ -191,10 +209,7 @@ std::vector<double> HouseholderQR::r_diagonal() const {
 }
 
 double HouseholderQR::condition_estimate() const {
-  const auto d = r_diagonal();
-  const auto [mn, mx] = std::minmax_element(d.begin(), d.end());
-  if (*mn == 0.0) return std::numeric_limits<double>::infinity();
-  return *mx / *mn;
+  return r_condition_estimate(qr_.row_data(0), qr_.cols());
 }
 
 // ------------------------------------------------------------------- misc

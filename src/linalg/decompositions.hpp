@@ -82,6 +82,19 @@ class HouseholderQR {
   std::vector<double> beta_;  // Householder scalars
 };
 
+/// Factor the m x n (m >= n) row-major matrix at `a` in place: R in the
+/// upper triangle, the Householder vectors (scaled to a unit leading
+/// entry) below it, and the n reflector scalars in `beta`. HouseholderQR's
+/// constructor is this routine over its own copy, so callers that own a
+/// scratch copy of the rows get the same factor without another one.
+void householder_factor(double* a, std::size_t m, std::size_t n,
+                        double* beta);
+
+/// max|R_ii| / min|R_ii| of a factor householder_factor left at `qr` (n
+/// columns); infinity when some R_ii is zero. The value of
+/// HouseholderQR::condition_estimate().
+double r_condition_estimate(const double* qr, std::size_t n);
+
 /// Invert a small square matrix via LU. Throws std::domain_error when
 /// singular. Intended for the <=4x4 matrices in LION; not for big systems.
 Matrix inverse(const Matrix& a);

@@ -317,23 +317,47 @@ void finalize_masked(const SolverWorkspace& ws, const char* mask,
   out.rms_residual = count == 0 ? 0.0 : std::sqrt(ss / m);
 }
 
+// Half-width of an IRLS round's warm brackets, as a fraction of the
+// previous round's raw MAD: the median is looked for within +- this much
+// of the previous median, the MAD within +- this much of the previous MAD.
+// Converging rounds move both far less; a wider bracket only compacts more.
+constexpr double kWarmBracketHalfWidth = 0.05;
+
+// What an IRLS round hands the next one: its residual median and raw MAD.
+struct RobustCarry {
+  bool warm = false;
+  double med = 0.0;
+  double mad = 0.0;
+};
+
 // Median and robust sigma (1.4826 * MAD, floored at min_sigma) of the
-// residuals, through the workspace scratch.
+// residuals. The first round selects both over copies in the workspace
+// scratch (sampled brackets, median_in_place); later rounds select inside
+// warm brackets around the carried median and MAD, reading the residuals
+// in place (warm_median / warm_abs_dev_median: same order statistics, so
+// the same bits).
 void robust_center_scale(SolverWorkspace& ws,
                          const std::vector<double>& residuals,
-                         double min_sigma, double& med, double& sigma) {
+                         double min_sigma, RobustCarry& carry, double& med,
+                         double& sigma) {
   const std::size_t n = residuals.size();
   ws.median_scratch.resize(n);
-  std::copy(residuals.begin(), residuals.end(), ws.median_scratch.begin());
-  med = median_in_place(ws.median_scratch.data(),
-                        ws.median_scratch.data() + n);
-  ws.abs_dev.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ws.abs_dev[i] = std::abs(residuals[i] - med);
+  double* scratch = ws.median_scratch.data();
+  const double* res = residuals.data();
+  double mad = 0.0;
+  if (carry.warm) {
+    const double h = kWarmBracketHalfWidth * carry.mad;
+    med = warm_median(res, n, carry.med - h, carry.med + h, scratch);
+    mad = warm_abs_dev_median(res, n, med, carry.mad - h, carry.mad + h,
+                              scratch);
+  } else {
+    std::copy(res, res + n, scratch);
+    med = median_in_place(scratch, scratch + n);
+    for (std::size_t i = 0; i < n; ++i) scratch[i] = std::abs(res[i] - med);
+    mad = median_in_place(scratch, scratch + n);
   }
-  sigma = std::max(
-      1.4826 * median_in_place(ws.abs_dev.data(), ws.abs_dev.data() + n),
-      min_sigma);
+  carry = {true, med, mad};
+  sigma = std::max(1.4826 * mad, min_sigma);
 }
 
 // One reweighted normal-equation pass: the weights
@@ -345,8 +369,8 @@ void robust_center_scale(SolverWorkspace& ws,
 template <std::size_t P>
 void reweighted_normals(SolverWorkspace& ws, const char* mask,
                         const std::vector<double>& residuals,
-                        const IrlsOptions& options, std::vector<double>& w,
-                        SmallGram& g, double* rhs) {
+                        const IrlsOptions& options, RobustCarry& carry,
+                        std::vector<double>& w, SmallGram& g, double* rhs) {
   const std::size_t n = residuals.size();
   w.resize(n);
   if (options.loss == RobustLoss::kGaussian) {
@@ -363,7 +387,7 @@ void reweighted_normals(SolverWorkspace& ws, const char* mask,
   }
   double med = 0.0;
   double sigma = 0.0;
-  robust_center_scale(ws, residuals, options.min_sigma, med, sigma);
+  robust_center_scale(ws, residuals, options.min_sigma, carry, med, sigma);
   const double c =
       options.tuning > 0.0
           ? options.tuning
@@ -414,12 +438,13 @@ SolveStatus irls_masked(SolverWorkspace& ws, const char* mask,
 
   LstsqResult* cur = &out;
   LstsqResult* nxt = &ws.irls_scratch;
+  RobustCarry carry;
   bool converged = false;
   for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
     g.reset(P);
     for (double& v : rhs) v = 0.0;
-    reweighted_normals<P>(ws, mask, cur->residuals, options, nxt->weights, g,
-                          rhs);
+    reweighted_normals<P>(ws, mask, cur->residuals, options, carry,
+                          nxt->weights, g, rhs);
     st = solve_masked_normals(ws, mask, count, nxt->weights.data(), g, rhs,
                               x);
     if (st != SolveStatus::kOk) return st;
@@ -472,7 +497,13 @@ void solve_irls(const Matrix& a, const std::vector<double>& b,
     throw std::invalid_argument("solve_least_squares: rhs size mismatch");
   }
   ws.load(a, b);
-  const SolveStatus st = solve_irls_masked(ws, nullptr, a.rows(), options, out);
+  solve_irls_loaded(options, ws, out);
+}
+
+void solve_irls_loaded(const IrlsOptions& options, SolverWorkspace& ws,
+                       LstsqResult& out) {
+  const SolveStatus st =
+      solve_irls_masked(ws, nullptr, ws.rows(), options, out);
   if (st == SolveStatus::kUnderdetermined) {
     throw std::domain_error("least squares: underdetermined system");
   }

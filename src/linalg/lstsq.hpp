@@ -110,6 +110,11 @@ void solve_irls(const Matrix& a, const std::vector<double>& b,
                 const IrlsOptions& options, SolverWorkspace& ws,
                 LstsqResult& out);
 
+/// Same over every row of the system already loaded into `ws` (reshape /
+/// commit, or load), throwing exactly as the overloads above do.
+void solve_irls_loaded(const IrlsOptions& options, SolverWorkspace& ws,
+                       LstsqResult& out);
+
 /// Non-throwing IRLS over the rows of the system *already loaded* into
 /// `ws` that `mask` selects (mask == nullptr selects all rows; `count`
 /// must equal the number of selected rows). Equivalent to solve_irls on

@@ -1,5 +1,6 @@
 #include "linalg/small.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -94,38 +95,35 @@ SolveStatus small_qr_solve(double a[][kSmallMaxCols], double* b,
   return SolveStatus::kOk;
 }
 
-void SolverWorkspace::load(const Matrix& a, const std::vector<double>& b) {
-  const std::size_t n = a.rows();
-  const std::size_t p = a.cols();
+namespace {
+
+void check_small_cols(std::size_t p) {
   if (p == 0 || p > kSmallMaxCols) {
     throw std::invalid_argument(
         "SolverWorkspace::load: cols outside [1, kSmallMaxCols]");
   }
-  if (b.size() != n) {
+}
+
+}  // namespace
+
+void SolverWorkspace::load(const Matrix& a, const std::vector<double>& b) {
+  check_small_cols(a.cols());
+  if (b.size() != a.rows()) {
     throw std::invalid_argument("SolverWorkspace::load: rhs size mismatch");
   }
+  reshape(a.rows(), a.cols());
+  for (std::size_t r = 0; r < n_; ++r) {
+    std::copy(a.row_data(r), a.row_data(r) + p_, rows_.data() + r * p_);
+  }
+  std::copy(b.begin(), b.end(), b_.begin());
+}
+
+void SolverWorkspace::reshape(std::size_t n, std::size_t p) {
+  check_small_cols(p);
   n_ = n;
   p_ = p;
-  packed_ = p * (p + 1) / 2;
   rows_.resize(n * p);
-  products_.resize(n * packed_);
-  rhsp_.resize(n * p);
   b_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* src = a.row_data(r);
-    double* row = rows_.data() + r * p;
-    double* prod = products_.data() + r * packed_;
-    double* rhsp = rhsp_.data() + r * p;
-    const double br = b[r];
-    for (std::size_t c = 0; c < p; ++c) row[c] = src[c];
-    std::size_t k = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      const double ri = row[i];
-      for (std::size_t j = i; j < p; ++j) prod[k++] = ri * row[j];
-      rhsp[i] = row[i] * br;
-    }
-    b_[r] = br;
-  }
 }
 
 Matrix SolverWorkspace::gram_matrix() const {
@@ -147,29 +145,24 @@ Matrix SolverWorkspace::gram_matrix() const {
 // The three accumulators below sum per-row contributions exactly as
 // Matrix::gram / transpose_multiply / weighted_gram /
 // weighted_transpose_multiply do over the corresponding row-subset
-// matrix. The unweighted forms add the cached products unconditionally
-// where the Matrix code skips zero terms — for finite inputs adding a
-// (+/-)0.0 product never changes an accumulator that started at +0.0
-// (and can never round to -0.0), so the sums are bit-identical. The
-// weighted form cannot use the product cache at all (w*(a_i*a_j) rounds
-// differently from (w*a_i)*a_j); it keeps the legacy per-term expressions
-// ((w * a_i) * a_j, a_c * (w * b)) over the cached raw rows. The legacy
-// `w != 0` / `w * a_i == 0` guards only ever skip (+/-)0.0 contributions,
-// so by the same zero-identity argument the straight-line form
-// (accumulate_weighted_rows, small.hpp) is bit-identical too — and, with
-// the column count a template constant, it unrolls and vectorizes.
+// matrix: the same products (a_i * a_j, a_c * b; (w * a_i) * a_j,
+// a_c * (w * b)) added in the same row order. The Matrix code skips zero
+// terms (`a_i == 0`, `w != 0`, `w * a_i == 0`); those only ever skip
+// (+/-)0.0 contributions, and for finite inputs adding one never changes
+// an accumulator that started at +0.0 (and can never round to -0.0), so
+// the straight-line forms are bit-identical — and, with the column count
+// a template constant, they unroll and vectorize.
 
 void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
                      std::size_t m, SmallGram& g, double* rhs) {
   const std::size_t p = ws.cols();
   for (std::size_t r = 0; r < m; ++r) {
-    const double* prod = ws.products(rows[r]);
-    const double* rhsp = ws.rhs_products(rows[r]);
-    std::size_t k = 0;
+    const double* row = ws.row(rows[r]);
+    const double b = ws.rhs(rows[r]);
     for (std::size_t i = 0; i < p; ++i) {
-      for (std::size_t j = i; j < p; ++j) g.g[i][j] += prod[k++];
+      for (std::size_t j = i; j < p; ++j) g.g[i][j] += row[i] * row[j];
     }
-    for (std::size_t c = 0; c < p; ++c) rhs[c] += rhsp[c];
+    for (std::size_t c = 0; c < p; ++c) rhs[c] += row[c] * b;
   }
 }
 
@@ -187,15 +180,17 @@ void accumulate_masked_impl(const SolverWorkspace& ws, const char* mask,
     for (std::size_t j = i; j < P; ++j) acc[k++] = g.g[i][j];
     acc_rhs[i] = rhs[i];
   }
-  const double* products = ws.products(0);
-  const double* rhs_products = ws.rhs_products(0);
+  const double* rows = ws.row(0);
+  const double* b = ws.rhs_data();
   const std::size_t n = ws.rows();
   for (std::size_t r = 0; r < n; ++r) {
     if (mask && !mask[r]) continue;
-    const double* prod = products + r * kPacked;
-    const double* rhsp = rhs_products + r * P;
-    for (k = 0; k < kPacked; ++k) acc[k] += prod[k];
-    for (std::size_t c = 0; c < P; ++c) acc_rhs[c] += rhsp[c];
+    const double* row = rows + r * P;
+    k = 0;
+    for (std::size_t i = 0; i < P; ++i) {
+      for (std::size_t j = i; j < P; ++j) acc[k++] += row[i] * row[j];
+    }
+    for (std::size_t c = 0; c < P; ++c) acc_rhs[c] += row[c] * b[r];
   }
   k = 0;
   for (std::size_t i = 0; i < P; ++i) {

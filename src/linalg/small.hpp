@@ -17,15 +17,14 @@
 //   randomized kernel tests in tests/linalg/test_small.cpp assert exact
 //   (==) agreement, not just closeness.
 //
-// The SolverWorkspace carries per-row caches of the loaded system:
-//   - packed symmetric outer products P_r = upper(a_r a_r^T) and rhs
-//     products q_r = a_r * b_r, summable in row order into an unweighted
-//     gram / A^T b with exactly the legacy rounding (used by every
-//     RANSAC minimal-subset solve and every OLS seed solve);
-//   - the raw rows and b, for the *weighted* accumulations, which must
-//     keep the legacy (w * a_i) * a_j multiplication order — caching the
-//     product a_i * a_j first would associate differently and break
-//     bit-exactness, so weighted grams re-read the cached rows instead.
+// The SolverWorkspace holds the loaded system's raw rows and b. Every
+// gram it feeds, weighted or not, is summed straight from those rows in
+// the legacy expression shapes: a_i * a_j (and a_c * b) for the unweighted
+// normal equations of RANSAC minimal subsets, OLS seeds and the GDOP, and
+// (w * a_i) * a_j for the weighted ones. A product computed where it is
+// added rounds exactly like one computed earlier and stored, so no
+// per-row product cache is kept: writing one cost more than recomputing
+// the products the few passes that read it need.
 #pragma once
 
 #include <cstddef>
@@ -90,8 +89,8 @@ SolveStatus small_qr_solve(double a[][kSmallMaxCols], double* b,
                            std::size_t m, std::size_t p, double* x);
 
 /// Reusable scratch for the consensus/IRLS solver stack. One workspace
-/// per thread (the batch engine keeps one per pool worker); load() caches
-/// a system's rows and per-row products, and the public buffers back
+/// per thread (the batch engine keeps one per pool worker); load() holds
+/// a system's rows and b, and the public buffers back
 /// every intermediate the solvers need. All storage grows geometrically
 /// and never shrinks, so a warmed workspace makes the steady-state
 /// solve loop allocation-free (asserted by tests/perf/test_alloc.cpp).
@@ -104,52 +103,46 @@ class SolverWorkspace {
   SolverWorkspace(const SolverWorkspace&) = delete;
   SolverWorkspace& operator=(const SolverWorkspace&) = delete;
 
-  /// Cache system (a, b): raw rows, b, packed outer products, rhs
-  /// products. Requires a.cols() <= kSmallMaxCols and b.size() ==
-  /// a.rows() (throws std::invalid_argument otherwise).
+  /// Copy system (a, b) in: raw rows and b. Requires a.cols() <=
+  /// kSmallMaxCols and b.size() == a.rows() (throws std::invalid_argument
+  /// otherwise).
   void load(const Matrix& a, const std::vector<double>& b);
+
+  /// Load a system in place instead of from a Matrix: reshape(n, p) sizes
+  /// the storage (throws std::invalid_argument unless p is in [1,
+  /// kSmallMaxCols]), and the caller writes the rows to mutable_rows()
+  /// (n * p, row-major) and b to mutable_rhs() (n). load(a, b) is reshape
+  /// and copy.
+  void reshape(std::size_t n, std::size_t p);
+  double* mutable_rows() { return rows_.data(); }
+  double* mutable_rhs() { return b_.data(); }
 
   std::size_t rows() const { return n_; }
   std::size_t cols() const { return p_; }
-  std::size_t packed_size() const { return packed_; }
   bool loaded() const { return p_ != 0; }
 
-  /// Row r of the cached design matrix (cols() entries).
+  /// Row r of the loaded design matrix (cols() entries).
   const double* row(std::size_t r) const { return rows_.data() + r * p_; }
-  /// Packed upper-triangle outer product of row r (packed_size() entries,
-  /// (i, j >= i) row-major — the accumulation order of Matrix::gram).
-  const double* products(std::size_t r) const {
-    return products_.data() + r * packed_;
-  }
-  /// Per-row rhs products q_r(c) = a(r, c) * b(r) (cols() entries).
-  const double* rhs_products(std::size_t r) const {
-    return rhsp_.data() + r * p_;
-  }
   double rhs(std::size_t r) const { return b_[r]; }
   /// All rows' rhs values (rows() entries).
   const double* rhs_data() const { return b_.data(); }
 
-  /// A^T A of the loaded system, summed from the cached products —
-  /// bit-exact with Matrix::gram() on the loaded matrix, without
-  /// re-reading it (used by the GDOP diagnostics after a workspace
+  /// A^T A of the loaded system — bit-exact with Matrix::gram() on the
+  /// loaded matrix (used by the GDOP diagnostics after a workspace
   /// solve). Requires loaded().
   Matrix gram_matrix() const;
 
   // Scratch buffers, resized (never shrunk) by the solver routines.
   std::vector<double> residuals;       ///< candidate residuals (RANSAC)
   std::vector<double> best_residuals;  ///< best-so-far residuals (RANSAC)
-  std::vector<double> median_scratch;  ///< median_in_place victim buffer
-  std::vector<double> abs_dev;         ///< MAD deviations (robust weights)
+  std::vector<double> median_scratch;  ///< selection scratch (medians, MAD)
   std::vector<std::size_t> indices;    ///< Fisher-Yates subset sampler
   LstsqResult irls_scratch;            ///< IRLS double-buffer slot
 
  private:
   std::size_t n_ = 0;
   std::size_t p_ = 0;
-  std::size_t packed_ = 0;
   std::vector<double> rows_;
-  std::vector<double> products_;
-  std::vector<double> rhsp_;
   std::vector<double> b_;
 };
 
@@ -210,10 +203,10 @@ class IncrementalNormals {
   double added_diag_ = 0.0;  ///< diagonal mass ever appended (monotone)
 };
 
-/// g += sum of cached outer products of `rows[0..m)` (in that order) and
-/// rhs[c] += the matching rhs products — the unweighted normal equations
-/// of the row subset, bit-exact with Matrix::gram / transpose_multiply
-/// on the gathered submatrix. `g` must be reset to ws.cols() and `rhs`
+/// g += the outer products a_i * a_j of `rows[0..m)` (in that order) and
+/// rhs[c] += a_c * b — the unweighted normal equations of the row subset,
+/// bit-exact with Matrix::gram / transpose_multiply on the gathered
+/// submatrix. `g` must be reset to ws.cols() and `rhs`
 /// zeroed by the caller; call g.mirror() afterwards.
 void accumulate_rows(const SolverWorkspace& ws, const std::size_t* rows,
                      std::size_t m, SmallGram& g, double* rhs);
@@ -225,7 +218,7 @@ void accumulate_masked(const SolverWorkspace& ws, const char* mask,
 
 /// Weighted normal equations over the masked rows: w[k] is the weight of
 /// the k-th *selected* row. Keeps the legacy multiplication order
-/// ((w * a_i) * a_j and a_c * (w * b)) by reading the cached raw rows, so
+/// ((w * a_i) * a_j and a_c * (w * b)) over the loaded rows, so
 /// the result is bit-exact with Matrix::weighted_gram /
 /// weighted_transpose_multiply on the materialized subsystem.
 void accumulate_weighted_masked(const SolverWorkspace& ws, const char* mask,

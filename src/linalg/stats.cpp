@@ -139,6 +139,97 @@ void count_outside(const double* a, std::size_t n, const Bracket& br,
   }
 }
 
+// Whether a bracket with `below` values under it and `above` over it
+// holds both ranks the median of n values needs: mid alone (odd n), mid -
+// 1 and mid (even n).
+bool bracket_holds_median(std::size_t n, std::size_t below,
+                          std::size_t above) {
+  const std::size_t mid = n / 2;
+  const std::size_t k_lo = n % 2 == 1 ? mid : mid - 1;
+  return below <= k_lo && above < n - mid;
+}
+
+// The median of n values from the m of them at `inside` (reordered): the
+// values a bracket kept, with `below` values under it and the median's
+// ranks inside (m == n, below == 0 for the whole buffer).
+double median_of_inside(double* inside, std::size_t m, std::size_t n,
+                        std::size_t below) {
+  // Within [inside, inside + m) the wanted ranks sit `below` lower.
+  const std::size_t k = n / 2 - below;
+  floyd_rivest_select(inside, 0, static_cast<std::ptrdiff_t>(m) - 1,
+                      static_cast<std::ptrdiff_t>(k));
+  const double hi = inside[k];
+  if (n % 2 == 1) return hi;
+  const double lo =
+      *std::max_element(inside, inside + static_cast<std::ptrdiff_t>(k));
+  return 0.5 * (lo + hi);
+}
+
+// The warm-bracket selection behind warm_median / warm_abs_dev_median:
+// the median of value_of(values[i]) over i < n. One pass computes each
+// value once, counts it below/above the bracket and compacts the inside
+// ones to the front of `scratch`. Four values a step through the two-lane
+// vector extension (as count_outside): a warm bracket keeps a few percent
+// of the values, so most steps hold none and skip the stores on one
+// well-predicted branch; a step that holds some stores all four, moving
+// the cursor only past the inside ones. On a miss `values` is still
+// untouched, and the values are materialized into scratch for the
+// whole-buffer median_in_place.
+template <class ValueOf>
+double warm_select(const double* values, std::size_t n, ValueOf value_of,
+                   const Bracket& br, double* scratch) {
+  if (n == 0) throw std::invalid_argument("median: empty input");
+  using V2d = double __attribute__((vector_size(16)));
+  using V2l = long long __attribute__((vector_size(16)));
+  const V2d lo = {br.lo, br.lo};
+  const V2d hi = {br.hi, br.hi};
+  V2l under = {0, 0};
+  V2l over = {0, 0};
+  std::size_t m = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const V2d v = {value_of(values[i]), value_of(values[i + 1])};
+    const V2d w = {value_of(values[i + 2]), value_of(values[i + 3])};
+    const V2l v_under = v < lo;
+    const V2l v_over = v > hi;
+    const V2l w_under = w < lo;
+    const V2l w_over = w > hi;
+    under += v_under + w_under;
+    over += v_over + w_over;
+    // Lanes are -1 (true) or 0, so the inside masks count the cursor up.
+    const V2l v_in = ~(v_under | v_over);
+    const V2l w_in = ~(w_under | w_over);
+    const V2l any = v_in | w_in;
+    if (any[0] | any[1]) {
+      scratch[m] = v[0];
+      m -= static_cast<std::size_t>(v_in[0]);
+      scratch[m] = v[1];
+      m -= static_cast<std::size_t>(v_in[1]);
+      scratch[m] = w[0];
+      m -= static_cast<std::size_t>(w_in[0]);
+      scratch[m] = w[1];
+      m -= static_cast<std::size_t>(w_in[1]);
+    }
+  }
+  std::size_t below = static_cast<std::size_t>(-(under[0] + under[1]));
+  std::size_t above = static_cast<std::size_t>(-(over[0] + over[1]));
+  for (; i < n; ++i) {
+    const double v = value_of(values[i]);
+    scratch[m] = v;
+    const bool v_under = v < br.lo;
+    const bool v_over = v > br.hi;
+    below += static_cast<std::size_t>(v_under);
+    above += static_cast<std::size_t>(v_over);
+    m += static_cast<std::size_t>(!v_under & !v_over);
+  }
+  if (bracket_holds_median(n, below, above)) {
+    return median_of_inside(scratch, m, n, below);
+  }
+  LION_OBS_COUNT("select.warm_misses", 1);
+  for (std::size_t k = 0; k < n; ++k) scratch[k] = value_of(values[k]);
+  return median_in_place(scratch, scratch + n);
+}
+
 }  // namespace
 
 double mean(const std::vector<double>& v) {
@@ -165,16 +256,15 @@ double median(std::vector<double> v) {
 double median_in_place(double* first, double* last) {
   if (first == last) throw std::invalid_argument("median: empty input");
   const auto n = static_cast<std::size_t>(last - first);
-  const std::size_t mid = n / 2;
-  // Ranks the median needs: mid alone (odd n), mid - 1 and mid (even n).
-  const std::size_t k_lo = n % 2 == 1 ? mid : mid - 1;
   std::size_t below = 0;
   std::size_t m = n;
   if (n >= kBracketMinSize) {
-    const Bracket br = sample_bracket(first, n, k_lo, mid);
+    const std::size_t mid = n / 2;
+    const Bracket br =
+        sample_bracket(first, n, n % 2 == 1 ? mid : mid - 1, mid);
     std::size_t above = 0;
     count_outside(first, n, br, below, above);
-    if (below <= k_lo && above < n - mid) {
+    if (bracket_holds_median(n, below, above)) {
       m = 0;
       for (std::size_t i = 0; i < n; ++i) {
         const double v = first[i];
@@ -188,15 +278,20 @@ double median_in_place(double* first, double* last) {
       below = 0;
     }
   }
-  // Within [first, first + m) the wanted ranks sit `below` lower.
-  const std::size_t k = mid - below;
-  floyd_rivest_select(first, 0, static_cast<std::ptrdiff_t>(m) - 1,
-                      static_cast<std::ptrdiff_t>(k));
-  const double hi = first[k];
-  if (n % 2 == 1) return hi;
-  const double lo =
-      *std::max_element(first, first + static_cast<std::ptrdiff_t>(k));
-  return 0.5 * (lo + hi);
+  return median_of_inside(first, m, n, below);
+}
+
+double warm_median(const double* values, std::size_t n, double lo, double hi,
+                   double* scratch) {
+  return warm_select(values, n, [](double v) { return v; }, {lo, hi},
+                     scratch);
+}
+
+double warm_abs_dev_median(const double* values, std::size_t n, double center,
+                           double lo, double hi, double* scratch) {
+  return warm_select(
+      values, n, [center](double v) { return std::abs(v - center); },
+      {lo, hi}, scratch);
 }
 
 double percentile(std::vector<double> v, double p) {

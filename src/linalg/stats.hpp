@@ -24,6 +24,23 @@ double median(std::vector<double> v);
 /// buffer). Same selection, same result. Throws on an empty range.
 double median_in_place(double* first, double* last);
 
+/// Median of the n values at `values`, selected inside the caller's warm
+/// bracket [lo, hi] (typically the previous IRLS round's median +- a few
+/// percent of its MAD): one read-only pass counts the values below lo and
+/// above hi and compacts the inside ones into `scratch`, and Floyd-Rivest
+/// runs over just those. When the counts show a wanted rank outside the
+/// bracket, counts `select.warm_misses` and falls back to median_in_place
+/// over a copy in `scratch`. `values` is never written; `scratch` needs
+/// room for n values. Same order statistic, same bits as median() for
+/// any bracket. Throws on n == 0.
+double warm_median(const double* values, std::size_t n, double lo, double hi,
+                   double* scratch);
+
+/// The same for the absolute deviations |values[i] - center|, computed on
+/// the fly (the MAD of an IRLS round without an abs-deviation buffer).
+double warm_abs_dev_median(const double* values, std::size_t n, double center,
+                           double lo, double hi, double* scratch);
+
 /// p-th percentile in [0, 100] with linear interpolation. Throws on empty
 /// input or p outside [0, 100].
 double percentile(std::vector<double> v, double p);

@@ -54,7 +54,8 @@ void register_pipeline_metrics() {
         "serve.oversized", "serve.ticks", "serve.tick_fallbacks",
         "serve.replay_solves", "serve.replay_memo_restores",
         "serve.replay_memo_failures", "adaptive.cells",
-        "adaptive.cells_offloaded", "select.bracket_misses"}) {
+        "adaptive.cells_offloaded", "select.bracket_misses",
+        "select.warm_misses"}) {
     (void)reg.try_counter(name);
   }
   (void)reg.try_histogram("ransac.inlier_fraction", fraction_bounds());

@@ -371,7 +371,7 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
     error = "session '" + session.id + "' already exists";
     return false;
   }
-  replay_records(session, *rec);
+  const bool memo_resolved = replay_records(session, *rec);
   next_seq_ = std::max(next_seq_, rec->last_seq);
   {
     // outstanding_ == 0, so the reorder buffer is empty and emit_next_
@@ -395,6 +395,11 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
                "journal: could not reopen journal; session '" + session.id +
                    "' is no longer durable",
                false);
+  } else if (memo_resolved) {
+    // Journal the rebuilt memo in the anchor form that carries its bytes,
+    // so the next restart installs it instead of solving again.
+    journal_append(session, JournalRecordType::kCalAnchor,
+                   cal_anchor_line(session.memo));
   }
   ++stats_.restores;
   LION_OBS_COUNT("serve.restores", 1);
@@ -404,7 +409,7 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
   return true;
 }
 
-void StreamService::replay_records(StreamSession& session,
+bool StreamService::replay_records(StreamSession& session,
                                    const RecoveredSession& rec) {
   // The last replayable kCalAnchor. Each install replaces the whole memo,
   // so restoring only the last anchor restores exactly what replaying
@@ -459,7 +464,7 @@ void StreamService::replay_records(StreamSession& session,
       }
     }
   }
-  if (!anchor) return;
+  if (!anchor) return false;
   try {
     // The buffer only grows, so its prefix is the buffer the anchor's
     // solve saw. When the prefix digest matches, the journaled bytes ARE
@@ -471,7 +476,7 @@ void StreamService::replay_records(StreamSession& session,
         session.memo.install(anchor->samples, digest,
                              std::string(anchor->report_json));
         LION_OBS_COUNT("serve.replay_memo_restores", 1);
-        return;
+        return false;
       }
       event(obs::Severity::kWarn, "restore_memo_mismatch", session.id,
             "anchor digest differs from the replayed prefix; re-solving",
@@ -491,6 +496,7 @@ void StreamService::replay_records(StreamSession& session,
         io::report_json(core::calibrate_antenna_robust(
             prefix, session.config.center, session.config.calibration,
             &engine::thread_workspace(), &helpers)));
+    return true;
   } catch (...) {
     // A memo that cannot be rebuilt stays empty: every post-restore
     // flush takes the full solve — degraded, never wrong.
@@ -499,6 +505,7 @@ void StreamService::replay_records(StreamSession& session,
           "could not rebuild the calibrate memo; next flush re-solves",
           anchor->samples);
   }
+  return false;
 }
 
 void StreamService::replay_accept(StreamSession& session,

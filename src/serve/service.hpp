@@ -388,7 +388,9 @@ class StreamService {
                       std::optional<RecoveredSession>& restored);
   /// Replay recovered records into `session` with solving and emission
   /// suppressed (buffers, parser layout, and window carving only).
-  void replay_records(StreamSession& session, const RecoveredSession& rec);
+  /// Returns true when the calibrate memo had to be re-solved (a
+  /// bare-count or mismatched anchor): the caller journals it anew.
+  bool replay_records(StreamSession& session, const RecoveredSession& rec);
   /// Buffer/window bookkeeping shared by live accepts and replay. In
   /// track mode carves completed windows; `carve_only` suppresses the
   /// solve (replay path). Returns false when the sample was dropped.

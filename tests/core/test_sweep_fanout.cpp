@@ -224,5 +224,23 @@ TEST_F(SweepFanout, SaturatedPoolLeavesEveryCellToTheCaller) {
   EXPECT_EQ(counter("adaptive.cells_offloaded"), offloaded);
 }
 
+TEST_F(SweepFanout, LargestFirstClaimOrderKeepsCandidatesInCellOrder) {
+  // Unsorted ranges and intervals make the claim order (largest window,
+  // smallest interval first) differ from cell order everywhere. Candidates
+  // must still come back in cell order and byte-identical with and
+  // without an executor.
+  core::RobustCalibrationConfig config;
+  config.adaptive.ranges = {0.8, 1.1, 0.6, 1.0};
+  config.adaptive.intervals = {0.30, 0.10, 0.20};
+  const auto oracle = expect_identical_everywhere(rig_scan(16), config);
+  ASSERT_EQ(oracle.status, core::CalibrationStatus::kOk);
+  const auto& candidates = oracle.center.details.candidates;
+  ASSERT_EQ(candidates.size(), 12u);
+  for (std::size_t k = 0; k < candidates.size(); ++k) {
+    EXPECT_EQ(candidates[k].range, config.adaptive.ranges[k / 3]) << k;
+    EXPECT_EQ(candidates[k].interval, config.adaptive.intervals[k % 3]) << k;
+  }
+}
+
 }  // namespace
 }  // namespace lion

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,8 @@
 #include "linalg/decompositions.hpp"
 #include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 
 namespace lion::linalg {
 namespace {
@@ -480,6 +483,41 @@ TEST(IrlsKernel, CholeskyRejectTakesQrPathBitExact) {
     }
   }
   EXPECT_TRUE(found) << "no seed produced a Cholesky-rejected system";
+}
+
+TEST(IrlsWarmBracket, MedianJumpBetweenRoundsMatchesClassic) {
+  // An intercept column and 30% of rows shifted by +3: the OLS seed splits
+  // the shift, so round 0's residual median sits ~0.9 below the inliers'
+  // centre with a MAD of the inlier noise. Huber reweighting then drops
+  // the shifted rows and the next median jumps by ~30 MADs, far outside
+  // the warm bracket: that round must fall back (counted) and every round
+  // must still match the classic solver bit for bit.
+  for (const std::size_t n : {60, 3000}) {
+    for (std::size_t p = 2; p <= kSmallMaxCols; ++p) {
+      std::mt19937_64 rng(43 + n + p);
+      MaskedCase c = masked_case(rng, n, p);
+      std::uniform_real_distribution<double> u(0.0, 1.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        c.a(i, 0) = 1.0;
+        c.b[i] = 0.5 + c.a(i, p - 1) + 0.01 * (u(rng) - 0.5) +
+                 (u(rng) < 0.3 ? 3.0 : 0.0);
+      }
+      SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+      obs::set_metrics_enabled(true);
+      obs::MetricsRegistry::instance().reset();
+      IrlsOptions opt;
+      opt.loss = RobustLoss::kHuber;
+      const LstsqResult want = expect_masked_matches_classic(c, opt);
+      const auto snap = obs::MetricsRegistry::instance().snapshot();
+      obs::set_metrics_enabled(false);
+      std::uint64_t misses = 0;
+      for (const auto& [name, value] : snap.counters) {
+        if (name == "select.warm_misses") misses = value;
+      }
+      EXPECT_GE(want.iterations, 2u);
+      EXPECT_GE(misses, 1u) << "the median never left its warm bracket";
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -227,6 +229,175 @@ TEST(MedianInPlace, BracketMissFallsBackToFullSelection) {
   for (auto& x : calm) x = u(rng);
   EXPECT_EQ(bracket_misses_during([&] { expect_exact_median(calm, "calm"); }),
             0u);
+}
+
+// ---------------------------------------------------------------------------
+// warm_median / warm_abs_dev_median exactness. An IRLS round selects its
+// median and MAD inside a bracket around the previous round's; whatever
+// the bracket, the result must be exactly (bit for bit) what a full sort
+// gives, the input must stay untouched, and a bracket that misses a wanted
+// rank must be counted in select.warm_misses.
+// ---------------------------------------------------------------------------
+
+/// Value of the counter `name` after `fn` ran on a freshly reset registry.
+template <typename Fn>
+std::uint64_t counter_during(const std::string& name, Fn&& fn) {
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::instance().reset();
+  fn();
+  const auto snap = obs::MetricsRegistry::instance().snapshot();
+  obs::set_metrics_enabled(false);
+  for (const auto& [counter, value] : snap.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+std::vector<double> abs_devs(const std::vector<double>& v, double center) {
+  std::vector<double> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) out[i] = std::abs(v[i] - center);
+  return out;
+}
+
+/// Checks both warm selections of `v` against a sort for the brackets
+/// [lo, hi] (median) and [mad_lo, mad_hi] (MAD about the exact median),
+/// and that neither wrote to `v`; returns the warm misses counted.
+std::uint64_t expect_exact_warm(const std::vector<double>& v, double lo,
+                                double hi, double mad_lo, double mad_hi,
+                                const std::string& what) {
+  return counter_during("select.warm_misses", [&] {
+    const std::vector<double> before = v;
+    std::vector<double> scratch(v.size());
+    const double want = sorted_median(v);
+    const double got = warm_median(v.data(), v.size(), lo, hi, scratch.data());
+    EXPECT_EQ(bits(got), bits(want))
+        << what << " median (n=" << v.size() << "): got " << got
+        << ", want " << want;
+    const double want_mad = sorted_median(abs_devs(v, want));
+    const double got_mad = warm_abs_dev_median(v.data(), v.size(), want,
+                                               mad_lo, mad_hi, scratch.data());
+    EXPECT_EQ(bits(got_mad), bits(want_mad))
+        << what << " MAD (n=" << v.size() << "): got " << got_mad
+        << ", want " << want_mad;
+    EXPECT_EQ(v, before) << what << ": input written";
+  });
+}
+
+/// The exact median and raw MAD of `v`, by sorting.
+std::pair<double, double> sorted_center_scale(const std::vector<double>& v) {
+  const double med = sorted_median(v);
+  return {med, sorted_median(abs_devs(v, med))};
+}
+
+constexpr std::size_t kWarmSizes[] = {1,    2,    3,    4,    255,  256,
+                                      2047, 2048, 2049, 4096, 8191, 8192,
+                                      20001};
+
+TEST(WarmMedian, MatchesSortOnRandomData) {
+  std::mt19937 rng(31);
+  std::normal_distribution<double> noise(0.0, 1.0);
+  for (const std::size_t n : kWarmSizes) {
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<double> v(n);
+      for (auto& x : v) x = noise(rng) + (rng() % 10 == 0 ? 8.0 : 0.0);
+      // The previous round's answers, from a slightly different fit.
+      std::vector<double> prev = v;
+      for (auto& x : prev) x += 1e-3 * noise(rng);
+      const auto [med, mad] = sorted_center_scale(prev);
+      const double h = 0.05 * mad;
+      const std::uint64_t misses = expect_exact_warm(
+          v, med - h, med + h, mad - h, mad + h, "previous round's bracket");
+      // A few hundred values put the median's neighbours well inside +-5%
+      // of the MAD; tiny n may miss, and must still be exact.
+      if (n >= 2047) {
+        EXPECT_EQ(misses, 0u) << "n=" << n;
+      }
+      // Wide, zero-width and inverted brackets: exact whatever they hold.
+      expect_exact_warm(v, -1e300, 1e300, 0.0, 1e300, "everything inside");
+      expect_exact_warm(v, med, med, mad, mad, "zero width");
+      expect_exact_warm(v, med + h, med - h, mad + h, mad - h, "inverted");
+    }
+  }
+}
+
+TEST(WarmMedian, HeavyTiesAndConstantArrays) {
+  std::mt19937 rng(32);
+  for (const std::size_t n : kWarmSizes) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = static_cast<double>(rng() % 4);
+    auto [med, mad] = sorted_center_scale(v);
+    expect_exact_warm(v, med, med, mad, mad, "four values");
+    for (auto& x : v) x = static_cast<double>(rng() % 2);
+    std::tie(med, mad) = sorted_center_scale(v);
+    expect_exact_warm(v, med - 0.05, med + 0.05, mad - 0.05, mad + 0.05,
+                      "two values");
+    // Constant arrays: the median is the constant and the MAD is zero, so
+    // a previous-round bracket of zero width sits exactly on both.
+    const std::vector<double> flat(n, 0.25);
+    EXPECT_EQ(expect_exact_warm(flat, 0.25, 0.25, 0.0, 0.0, "constant"), 0u);
+    EXPECT_EQ(expect_exact_warm(flat, 0.2, 0.3, -0.01, 0.01, "constant"), 0u);
+    // A constant majority with a few values either side.
+    std::vector<double> w(n, 3.0);
+    for (std::size_t i = 0; i < n / 10; ++i) w[(i * 7919) % n] = -1.0;
+    for (std::size_t i = 0; i < n / 10; ++i) w[(i * 104729 + 1) % n] = 9.0;
+    EXPECT_EQ(expect_exact_warm(w, 3.0, 3.0, 0.0, 0.0, "constant majority"),
+              0u);
+  }
+}
+
+TEST(WarmMedian, ForcedMissesOnEachSideFallBackExactly) {
+  std::mt19937 rng(33);
+  std::normal_distribution<double> noise(0.0, 1.0);
+  for (const std::size_t n : {3, 4, 101, 102, 4096, 4097}) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = noise(rng);
+    const auto [med, mad] = sorted_center_scale(v);
+    const double h = 0.05 * mad;
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // Brackets wholly below / above the median and the MAD: each of the
+    // two selections misses once.
+    EXPECT_EQ(expect_exact_warm(v, med - 10.0, med - 9.0, 0.0, 0.1 * mad,
+                                "below"),
+              2u);
+    EXPECT_EQ(expect_exact_warm(v, med + 9.0, med + 10.0, 2.0 * mad,
+                                3.0 * mad, "above"),
+              2u);
+    // A hit for contrast (a handful of values may miss, exactly).
+    const std::uint64_t misses =
+        expect_exact_warm(v, med - h, med + h, mad - h, mad + h, "hit");
+    if (n >= 101) {
+      EXPECT_EQ(misses, 0u);
+    }
+  }
+}
+
+TEST(WarmMedian, EvenCountNeedsBothMiddleRanksInside) {
+  // For even n the median averages ranks n/2 - 1 and n/2; a bracket whose
+  // edge sits exactly on one of them holds it (the tests are strict), but
+  // a bracket that stops short of the other must miss.
+  std::mt19937 rng(34);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  for (const std::size_t n : {2, 10, 4096}) {
+    std::vector<double> v(n);
+    for (auto& x : v) x = u(rng);
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    const double left = sorted[n / 2 - 1];
+    const double right = sorted[n / 2];
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // The MAD bracket holds everything, so only the median can miss.
+    EXPECT_EQ(expect_exact_warm(v, left, right, 0.0, 2.0, "both edges"), 0u);
+    EXPECT_EQ(expect_exact_warm(v, left, left, 0.0, 2.0, "left only"), 1u);
+    EXPECT_EQ(expect_exact_warm(v, right, right, 0.0, 2.0, "right only"), 1u);
+  }
+}
+
+TEST(WarmMedian, EmptyInputThrows) {
+  double scratch = 0.0;
+  EXPECT_THROW(warm_median(nullptr, 0, 0.0, 1.0, &scratch),
+               std::invalid_argument);
+  EXPECT_THROW(warm_abs_dev_median(nullptr, 0, 0.0, 0.0, 1.0, &scratch),
+               std::invalid_argument);
 }
 
 }  // namespace

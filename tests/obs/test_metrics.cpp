@@ -349,8 +349,9 @@ TEST(PipelineSchema, EnableRegistersEveryStageHistogram) {
     }
     EXPECT_TRUE(found) << want;
   }
-  for (const char* want : {"engine.jobs", "engine.steals", "engine.exceptions",
-                           "radical.rows", "ransac.iterations"}) {
+  for (const char* want :
+       {"engine.jobs", "engine.steals", "engine.exceptions", "radical.rows",
+        "ransac.iterations", "select.bracket_misses", "select.warm_misses"}) {
     bool found = false;
     for (const auto& [name, value] : snap.counters) {
       if (name == want) found = true;

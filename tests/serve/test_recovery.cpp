@@ -623,8 +623,9 @@ std::vector<std::string> cal_tiered_input() {
 // Calibrate-flush crash matrix: killed at >= 24 fuzzed offsets — pinned
 // around every flush decision plus LCG fill — the resumed stream must be
 // byte-identical to the uninterrupted baseline, source tags included. A
-// restored flush may only answer memo if the replay rebuilt the exact memo
-// (kCalAnchor re-solve), so tag equality is state equality.
+// restored flush may only answer memo if restore installed the exact memo
+// (the last kCalAnchor's journaled bytes, once its digest matched the
+// replayed buffer), so tag equality is state equality.
 TEST(Recovery, CalibrateFlushCrashMatrixResumesByteIdentical) {
   const auto input = cal_tiered_input();
   const auto baseline = sequenced(run_plain(input));
@@ -746,7 +747,9 @@ RestoredFlush restore_and_flush(const std::string& dir,
 
 // Journals written before anchors carried the memo's bytes hold a bare
 // sample count. They still restore: one replay solve rebuilds the memo,
-// and the next flush answers memo with the pre-crash bytes.
+// and the next flush answers memo with the pre-crash bytes. The restore
+// journals the rebuilt memo in the new anchor form, so a second restart
+// installs it without solving and answers the same bytes.
 TEST(Recovery, LegacyBareCountAnchorRestoresWithOneReplaySolve) {
   const auto input = cal_tiered_input();
   const auto baseline = sequenced(run_plain(input));
@@ -761,6 +764,13 @@ TEST(Recovery, LegacyBareCountAnchorRestoresWithOneReplaySolve) {
   EXPECT_NE(got.report.find("\"source\":\"memo\""), std::string::npos)
       << got.report;
   EXPECT_EQ(report_payload(got.report), report_payload(baseline.back()));
+
+  const RestoredFlush again = restore_and_flush(dir.path, input[0]);
+  EXPECT_EQ(again.replay_solves, 0u);
+  EXPECT_EQ(again.memo_restores, 1u);
+  EXPECT_NE(again.report.find("\"source\":\"memo\""), std::string::npos)
+      << again.report;
+  EXPECT_EQ(report_payload(again.report), report_payload(got.report));
 }
 
 // An anchor whose digest disagrees with the replayed prefix is never
