@@ -34,11 +34,18 @@ std::vector<IndexPair> interval_pairs(const signal::PhaseProfile& profile,
 std::vector<IndexPair> ladder_pairs(const signal::PhaseProfile& profile,
                                     double interval, double tolerance,
                                     std::size_t stride) {
+  return ladder_pairs_from_arcs(signal::arc_lengths(profile), interval,
+                                tolerance, stride);
+}
+
+std::vector<IndexPair> ladder_pairs_from_arcs(const std::vector<double>& arcs,
+                                              double interval,
+                                              double tolerance,
+                                              std::size_t stride) {
   if (interval <= 0.0) {
     throw std::invalid_argument("ladder_pairs: interval must be positive");
   }
   if (stride == 0) stride = 1;
-  const auto arcs = signal::arc_lengths(profile);
   if (arcs.empty()) return {};
   const double total = arcs.back();
   // One cursor per rung L (offset interval * 2^L): arcs is nondecreasing
@@ -47,7 +54,7 @@ std::vector<IndexPair> ladder_pairs(const signal::PhaseProfile& profile,
   // binary search from i + 1 would.
   std::vector<std::size_t> cursor;
   std::vector<IndexPair> pairs;
-  for (std::size_t i = 0; i < profile.size(); i += stride) {
+  for (std::size_t i = 0; i < arcs.size(); i += stride) {
     std::size_t rung = 0;
     for (double offset = interval; arcs[i] + offset <= total + tolerance;
          offset *= 2.0, ++rung) {

@@ -44,6 +44,13 @@ std::vector<IndexPair> ladder_pairs(const signal::PhaseProfile& profile,
                                     double interval, double tolerance = 0.1,
                                     std::size_t stride = 1);
 
+/// ladder_pairs over the profile's precomputed signal::arc_lengths (for
+/// callers pairing one profile at several intervals).
+std::vector<IndexPair> ladder_pairs_from_arcs(const std::vector<double>& arcs,
+                                              double interval,
+                                              double tolerance,
+                                              std::size_t stride);
+
 /// All pairs at least `min_separation` apart (straight-line distance),
 /// subsampled by `stride` and truncated to `max_pairs`.
 std::vector<IndexPair> spread_pairs(const signal::PhaseProfile& profile,
