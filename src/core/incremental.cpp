@@ -299,29 +299,26 @@ void IncrementalTrackSolver::rebuild() {
   // Consensus refresh: RANSAC warm-started from the surviving inlier set
   // when there is sampling headroom, plain LS over everything otherwise.
   if (n >= std::max(config_.min_rows, config_.ransac_min_rows)) {
-    try {
-      linalg::Matrix a(n, 2);
-      std::vector<double> b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        a(i, 0) = rows_[i].a0;
-        a(i, 1) = rows_[i].a1;
-        b[i] = rows_[i].k;
-      }
-      if (!had_baseline || prior_inliers_.size() != n) prior_inliers_.clear();
-      ransac_solve_warm(a, b, config_.ransac, ws_, prior_inliers_,
-                        ransac_result_);
-      if (ransac_result_.inlier_mask.size() == n) {
-        for (std::size_t i = 0; i < n; ++i) {
-          rows_[i].included = ransac_result_.inlier_mask[i] != 0;
-        }
-      }
-      if (ransac_result_.solution.x.size() >= 2) {
-        x[0] = ransac_result_.solution.x[0];
-        x[1] = ransac_result_.solution.x[1];
-      }
-    } catch (const std::exception&) {
-      for (Row& row : rows_) row.included = true;  // degrade to include-all
+    ws_.reshape(n, 2);
+    double* a = ws_.mutable_rows();
+    double* b = ws_.mutable_rhs();
+    for (std::size_t i = 0; i < n; ++i) {
+      a[2 * i] = rows_[i].a0;
+      a[2 * i + 1] = rows_[i].a1;
+      b[i] = rows_[i].k;
     }
+    if (!had_baseline || prior_inliers_.size() != n) prior_inliers_.clear();
+    const linalg::SolveStatus st = ransac_solve_loaded(
+        config_.ransac, ws_, ransac_result_,
+        prior_inliers_.empty() ? nullptr : prior_inliers_.data());
+    if (st == linalg::SolveStatus::kOk) {
+      for (std::size_t i = 0; i < n; ++i) {
+        rows_[i].included = ransac_result_.inlier_mask[i] != 0;
+      }
+      x[0] = ransac_result_.solution.x[0];
+      x[1] = ransac_result_.solution.x[1];
+    }
+    // A failed consensus keeps every row (included was set above).
   }
 
   // Re-accumulate the normals from the consensus rows (this is the

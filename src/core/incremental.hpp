@@ -26,7 +26,8 @@
 //     out far enough, or periodically — re-unwraps, re-pairs, and
 //     re-accumulates from the surviving samples, and refreshes the
 //     consensus inlier set with a RANSAC warm-started from the previous
-//     mask (core::ransac_solve_warm).
+//     mask (core::ransac_solve_loaded over rows written straight into the
+//     solver workspace).
 //   - A residual gate: `tick()` reports fallback=true (instead of a pose)
 //     when the incremental estimate's RMS drifts beyond a factor of the
 //     rebuild-time baseline, when too few rows survive, or when the

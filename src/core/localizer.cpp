@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "linalg/decompositions.hpp"
 #include "signal/profile.hpp"
@@ -120,50 +120,31 @@ LocalizationResult LinearLocalizer::locate_with_pairs(
 LocalizationResult LinearLocalizer::solve_pairs(
     const signal::PhaseProfile& profile, const TrajectoryFrame& frame,
     const ProfileTerms& terms, const std::vector<IndexPair>& pairs) const {
-  linalg::SolverWorkspace* ws = config_.workspace;
-  const bool robust = config_.method != SolveMethod::kLeastSquares &&
-                      config_.method != SolveMethod::kWeightedLeastSquares;
-  if (ws != nullptr && robust && frame.rank + 1 <= linalg::kSmallMaxCols) {
-    return solve_in_workspace(profile, frame, terms, pairs, *ws);
+  if (config_.method != SolveMethod::kLeastSquares &&
+      config_.method != SolveMethod::kWeightedLeastSquares) {
+    if (config_.workspace != nullptr) {
+      return solve_robust(profile, frame, terms, pairs, *config_.workspace);
+    }
+    linalg::SolverWorkspace ws;
+    return solve_robust(profile, frame, terms, pairs, ws);
   }
   const LinearSystem sys = build_system(terms, frame.rank, pairs);
 
-  linalg::LstsqResult sol;
-  double inlier_fraction = 1.0;
   LION_OBS_SPAN(obs::Stage::kSolve);
-  switch (config_.method) {
-    case SolveMethod::kLeastSquares:
-      sol = linalg::solve_least_squares(sys.a, sys.k);
-      break;
-    case SolveMethod::kWeightedLeastSquares: {
-      // One reweight pass: LS residuals -> Gaussian weights -> WLS (Eq. 14-16).
-      const auto first = linalg::solve_least_squares(sys.a, sys.k);
-      const auto w = linalg::gaussian_residual_weights(first.residuals);
-      sol = linalg::solve_weighted_least_squares(sys.a, sys.k, w);
-      sol.iterations = 1;
-      break;
-    }
-    case SolveMethod::kIterativeReweighted:
-    case SolveMethod::kHuberIrls:
-    case SolveMethod::kTukeyIrls:
-      sol = linalg::solve_irls(sys.a, sys.k, irls_options());
-      break;
-    case SolveMethod::kRansac: {
-      auto rr = ransac_solve(sys.a, sys.k, config_.ransac);
-      sol = std::move(rr.solution);
-      inlier_fraction = rr.inlier_fraction;
-      break;
-    }
+  linalg::LstsqResult sol = linalg::solve_least_squares(sys.a, sys.k);
+  if (config_.method == SolveMethod::kWeightedLeastSquares) {
+    // One reweight pass: LS residuals -> Gaussian weights -> WLS (Eq. 14-16).
+    const auto w = linalg::gaussian_residual_weights(sol.residuals);
+    sol = linalg::solve_weighted_least_squares(sys.a, sys.k, w);
+    sol.iterations = 1;
   }
-  const double condition =
-      sys.a.rows() >= sys.a.cols()
-          ? linalg::HouseholderQR(sys.a).condition_estimate()
-          : std::numeric_limits<double>::infinity();
   return assemble_result(profile, frame, terms.reference_index, pairs.size(),
-                         sol, inlier_fraction, condition, sys.a.gram());
+                         sol, 1.0,
+                         linalg::HouseholderQR(sys.a).condition_estimate(),
+                         sys.a.gram());
 }
 
-LocalizationResult LinearLocalizer::solve_in_workspace(
+LocalizationResult LinearLocalizer::solve_robust(
     const signal::PhaseProfile& profile, const TrajectoryFrame& frame,
     const ProfileTerms& terms, const std::vector<IndexPair>& pairs,
     linalg::SolverWorkspace& ws) const {
@@ -172,26 +153,31 @@ LocalizationResult LinearLocalizer::solve_in_workspace(
   linalg::LstsqResult sol;
   double inlier_fraction = 1.0;
   LION_OBS_SPAN(obs::Stage::kSolve);
+  linalg::SolveStatus st;
   if (config_.method == SolveMethod::kRansac) {
     RansacResult rr;
-    ransac_solve_loaded(config_.ransac, ws, rr);
+    st = ransac_solve_loaded(config_.ransac, ws, rr);
     sol = std::move(rr.solution);
     inlier_fraction = rr.inlier_fraction;
   } else {
-    linalg::solve_irls_loaded(irls_options(), ws, sol);
+    st = linalg::solve_irls_masked(ws, nullptr, ws.rows(), irls_options(),
+                                   sol);
+  }
+  if (st != linalg::SolveStatus::kOk) {
+    throw std::domain_error(std::string("LinearLocalizer: ") +
+                            solve_method_name(config_.method) +
+                            " solve failed: " +
+                            linalg::solve_status_name(st));
   }
   // The gram for the GDOP is summed first: after it the solve is done
-  // with the rows, so QR factors them in place for the condition estimate
-  // (the arithmetic of HouseholderQR on a copy of them).
-  const std::size_t n = ws.rows();
-  const std::size_t cols = ws.cols();
+  // with the rows (at least as many as columns, or it would have failed),
+  // so QR factors them in place for the condition estimate (the
+  // arithmetic of HouseholderQR on a copy of them).
   const linalg::Matrix gram = ws.gram_matrix();
-  double condition = std::numeric_limits<double>::infinity();
-  if (n >= cols) {
-    double beta[linalg::kSmallMaxCols];
-    linalg::householder_factor(ws.mutable_rows(), n, cols, beta);
-    condition = linalg::r_condition_estimate(ws.mutable_rows(), cols);
-  }
+  double beta[linalg::kSmallMaxCols];
+  linalg::householder_factor(ws.mutable_rows(), ws.rows(), ws.cols(), beta);
+  const double condition =
+      linalg::r_condition_estimate(ws.mutable_rows(), ws.cols());
   return assemble_result(profile, frame, terms.reference_index, pairs.size(),
                          sol, inlier_fraction, condition, gram);
 }

@@ -70,10 +70,11 @@ struct LocalizerConfig {
   RansacOptions ransac{};
 
   /// Optional non-owning solver scratch for the RANSAC / IRLS-family
-  /// methods: when set, their per-solve storage comes from this workspace
-  /// instead of the heap (results are bit-identical either way). The
-  /// workspace must outlive the localizer and must not be shared across
-  /// threads; the batch engine wires one per pool worker.
+  /// methods, which always solve in a workspace: this one when set, else
+  /// one local to the call (results are bit-identical either way; a warm
+  /// one saves the allocations). It must outlive the localizer and must
+  /// not be shared across threads; the batch engine wires one per pool
+  /// worker.
   linalg::SolverWorkspace* workspace = nullptr;
 };
 
@@ -128,7 +129,9 @@ class LinearLocalizer {
   ///
   /// Throws std::invalid_argument when the profile is too small, produces
   /// no pairs, or the scan's rank is more than one short of target_dim
-  /// (e.g. a single straight line cannot give a 3D fix, Sec. III-C2).
+  /// (e.g. a single straight line cannot give a 3D fix, Sec. III-C2), and
+  /// std::domain_error when the system cannot be solved (for the robust
+  /// methods the message names the linalg::SolveStatus).
   LocalizationResult locate(const signal::PhaseProfile& profile) const;
 
   /// The interval-independent part of locate(): validation, frame, arc
@@ -153,19 +156,21 @@ class LinearLocalizer {
   /// analyze_frame, rejecting a rank more than one short of target_dim.
   TrajectoryFrame frame_of(const signal::PhaseProfile& profile) const;
 
-  /// Build and solve the system of `pairs` and assemble the result. For
-  /// the robust methods with a workspace the system is built straight into
-  /// it, solved there, and its rows then factored in place for the
-  /// condition estimate; bit-identical to the Matrix path.
+  /// Build and solve the system of `pairs` and assemble the result. LS
+  /// and WLS solve a Matrix system; the robust methods go to solve_robust.
   LocalizationResult solve_pairs(const signal::PhaseProfile& profile,
                                  const TrajectoryFrame& frame,
                                  const ProfileTerms& terms,
                                  const std::vector<IndexPair>& pairs) const;
-  LocalizationResult solve_in_workspace(const signal::PhaseProfile& profile,
-                                        const TrajectoryFrame& frame,
-                                        const ProfileTerms& terms,
-                                        const std::vector<IndexPair>& pairs,
-                                        linalg::SolverWorkspace& ws) const;
+  /// The robust methods: the system is built straight into `ws`, solved
+  /// there, and its rows then factored in place for the condition
+  /// estimate. Throws std::domain_error naming the linalg::SolveStatus
+  /// when the solve fails.
+  LocalizationResult solve_robust(const signal::PhaseProfile& profile,
+                                  const TrajectoryFrame& frame,
+                                  const ProfileTerms& terms,
+                                  const std::vector<IndexPair>& pairs,
+                                  linalg::SolverWorkspace& ws) const;
 
   /// config().irls with the loss the method implies.
   linalg::IrlsOptions irls_options() const;

@@ -48,48 +48,43 @@ struct RansacResult {
   bool consensus = false;
 };
 
-/// Solve A x = b by LMedS consensus sampling + robust refit. Requires
-/// b.size() == a.rows(); throws std::invalid_argument otherwise or when
-/// the system is underdetermined (fewer rows than columns).
+/// Solve A x = b by LMedS consensus sampling + robust refit, through a
+/// call-local SolverWorkspace. Throws std::invalid_argument when
+/// b.size() != a.rows(), the system is underdetermined (fewer rows than
+/// columns) or a.cols() is not in [1, linalg::kSmallMaxCols]; throws
+/// std::domain_error naming the linalg::SolveStatus when even the
+/// full-row fallback cannot solve the system.
 RansacResult ransac_solve(const linalg::Matrix& a,
                           const std::vector<double>& b,
                           const RansacOptions& options = {});
 
-/// Same solve through a caller-owned SolverWorkspace: bit-identical
-/// results, but for systems with cols <= linalg::kSmallMaxCols every
-/// sampling iteration, score, and refit runs on the workspace's cached
-/// row products and scratch buffers — a warmed workspace makes the whole
-/// consensus loop allocation-free apart from the returned result. The
-/// workspace is (re)loaded with this system.
-RansacResult ransac_solve(const linalg::Matrix& a,
-                          const std::vector<double>& b,
-                          const RansacOptions& options,
-                          linalg::SolverWorkspace& ws);
+/// Same solve through a caller-owned workspace and result: (re)loads `ws`
+/// with the system and runs ransac_solve_loaded. Reusing both across
+/// calls makes the solve allocation-free. Throws std::invalid_argument as
+/// the overload above; a solver failure is the returned status.
+linalg::SolveStatus ransac_solve(const linalg::Matrix& a,
+                                 const std::vector<double>& b,
+                                 const RansacOptions& options,
+                                 linalg::SolverWorkspace& ws,
+                                 RansacResult& out);
 
-/// Same, writing into a caller-owned result: reusing `out` across calls
-/// removes the last steady-state allocations (mask + solution vectors).
-void ransac_solve(const linalg::Matrix& a, const std::vector<double>& b,
-                  const RansacOptions& options, linalg::SolverWorkspace& ws,
-                  RansacResult& out);
-
-/// Same solve over the system already loaded into `ws` (built in place
-/// with SolverWorkspace::reshape / commit, so cols() <= kSmallMaxCols):
-/// bit-identical to ransac_solve on that system. Throws
-/// std::invalid_argument when it has fewer rows than columns.
-void ransac_solve_loaded(const RansacOptions& options,
-                         linalg::SolverWorkspace& ws, RansacResult& out);
-
-/// Warm-started consensus solve for sliding-window callers: seed the
-/// sampling tournament with the OLS fit over `prior_inliers` (the previous
-/// window's consensus mask, mapped onto this system's rows — one char per
-/// row; any other length is treated as no prior). A still-valid prior sets
-/// the LMedS bar immediately, so the median prescreen rejects most random
-/// candidates in one comparison pass; a stale prior simply loses the
-/// tournament. With an empty prior this is bit-identical to ransac_solve.
-void ransac_solve_warm(const linalg::Matrix& a, const std::vector<double>& b,
-                       const RansacOptions& options,
-                       linalg::SolverWorkspace& ws,
-                       const std::vector<char>& prior_inliers,
-                       RansacResult& out);
+/// The consensus solve over the system already loaded into `ws` (load, or
+/// built in place with SolverWorkspace::reshape). Every sampling
+/// iteration, score and refit runs on the workspace's rows and scratch.
+///
+/// `prior_mask` (one char per row, or nullptr) warm-starts the sampling
+/// tournament for sliding-window callers: the OLS fit over the previous
+/// window's consensus rows sets the LMedS bar before any random subset is
+/// drawn, so the median prescreen rejects most candidates in one
+/// comparison pass; a stale prior simply loses the tournament. With no
+/// prior the solve is the cold one.
+///
+/// Returns kUnderdetermined when the system has fewer rows than columns,
+/// and the full-row fallback's status when it has to run and fails; `out`
+/// is unspecified unless the status is kOk.
+linalg::SolveStatus ransac_solve_loaded(const RansacOptions& options,
+                                        linalg::SolverWorkspace& ws,
+                                        RansacResult& out,
+                                        const char* prior_mask = nullptr);
 
 }  // namespace lion::core

@@ -79,39 +79,6 @@ LstsqResult solve_least_squares(const Matrix& a,
   return out;
 }
 
-std::vector<double> solve_least_squares_solution(const Matrix& a,
-                                                 const std::vector<double>& b) {
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("solve_least_squares: rhs size mismatch");
-  }
-  return solve_normal_or_qr(a, b, nullptr);
-}
-
-SolveStatus try_solve_least_squares(const Matrix& a,
-                                    const std::vector<double>& b,
-                                    std::vector<double>& x) {
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("solve_least_squares: rhs size mismatch");
-  }
-  if (a.rows() < a.cols()) return SolveStatus::kUnderdetermined;
-  const Matrix gram = a.gram();
-  const std::vector<double> rhs = a.transpose_multiply(b);
-  if (const auto chol = Cholesky::factor(gram)) {
-    x = chol->solve(rhs);
-    return SolveStatus::kOk;
-  }
-  // Same QR fallback as solve_normal_or_qr, but the rank-deficiency it
-  // would signal by throwing is detected from the R diagonal up front
-  // (|R_ii| < kSingularTol is exactly HouseholderQR::solve's throw
-  // condition, so the two paths accept the same systems).
-  HouseholderQR qr(a);
-  for (const double d : qr.r_diagonal()) {
-    if (d < kSingularTol) return SolveStatus::kRankDeficient;
-  }
-  x = qr.solve(b);
-  return SolveStatus::kOk;
-}
-
 LstsqResult solve_weighted_least_squares(const Matrix& a,
                                          const std::vector<double>& b,
                                          const std::vector<double>& weights) {
@@ -486,37 +453,11 @@ SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
   }
 }
 
-void solve_irls(const Matrix& a, const std::vector<double>& b,
-                const IrlsOptions& options, SolverWorkspace& ws,
-                LstsqResult& out) {
-  if (a.cols() == 0 || a.cols() > kSmallMaxCols) {
-    out = solve_irls(a, b, options);
-    return;
-  }
-  if (b.size() != a.rows()) {
-    throw std::invalid_argument("solve_least_squares: rhs size mismatch");
-  }
-  ws.load(a, b);
-  solve_irls_loaded(options, ws, out);
-}
-
-void solve_irls_loaded(const IrlsOptions& options, SolverWorkspace& ws,
+SolveStatus solve_irls(const Matrix& a, const std::vector<double>& b,
+                       const IrlsOptions& options, SolverWorkspace& ws,
                        LstsqResult& out) {
-  const SolveStatus st =
-      solve_irls_masked(ws, nullptr, ws.rows(), options, out);
-  if (st == SolveStatus::kUnderdetermined) {
-    throw std::domain_error("least squares: underdetermined system");
-  }
-  if (st != SolveStatus::kOk) {
-    throw std::domain_error("HouseholderQR::solve: rank deficient");
-  }
-}
-
-LstsqResult solve_irls(const Matrix& a, const std::vector<double>& b,
-                       const IrlsOptions& options, SolverWorkspace& ws) {
-  LstsqResult out;
-  solve_irls(a, b, options, ws, out);
-  return out;
+  ws.load(a, b);
+  return solve_irls_masked(ws, nullptr, ws.rows(), options, out);
 }
 
 }  // namespace lion::linalg

@@ -25,10 +25,10 @@ struct LstsqResult {
   bool converged = true;          ///< false if iteration cap was hit
 };
 
-/// Non-throwing solver outcome for the hot-path entry points. The classic
-/// solvers signal these by throwing std::domain_error; inside the RANSAC
-/// sampling loop a degenerate subset is an *expected* event, so the
-/// status-returning variants make it a counted branch instead.
+/// Outcome of the workspace solvers. The general Matrix solvers signal a
+/// failed solve by throwing std::domain_error; the workspace core returns
+/// one of these instead, so a degenerate RANSAC subset is a counted
+/// branch and the caller decides what a failed solve means.
 enum class SolveStatus {
   kOk,               ///< solution written
   kUnderdetermined,  ///< fewer (selected) rows than unknowns
@@ -38,31 +38,14 @@ enum class SolveStatus {
 /// Stable short name ("ok", "underdetermined", "rank_deficient").
 const char* solve_status_name(SolveStatus status);
 
-/// Scratch + row-product cache for the zero-allocation small-system path;
-/// defined in linalg/small.hpp.
+/// Rows, rhs and scratch of the zero-allocation solver core; defined in
+/// linalg/small.hpp.
 class SolverWorkspace;
 
 /// Ordinary least squares via the normal equations (Cholesky fast path, QR
 /// fallback for ill-conditioned systems). Throws std::domain_error when the
 /// system is rank deficient.
 LstsqResult solve_least_squares(const Matrix& a, const std::vector<double>& b);
-
-/// Solution-only ordinary least squares: identical x to
-/// solve_least_squares (same solve, same throws) without the residual /
-/// mean / rms diagnostics — for callers like the RANSAC sampling loop
-/// that discard everything but x.
-std::vector<double> solve_least_squares_solution(const Matrix& a,
-                                                 const std::vector<double>& b);
-
-/// Non-throwing solution-only least squares. Writes x and returns kOk, or
-/// returns a failure status exactly when solve_least_squares would throw
-/// std::domain_error (kUnderdetermined for rows < cols, kRankDeficient
-/// when both Cholesky and QR reject the system). Still throws
-/// std::invalid_argument on a rhs size mismatch — that is a caller bug,
-/// not a data property.
-SolveStatus try_solve_least_squares(const Matrix& a,
-                                    const std::vector<double>& b,
-                                    std::vector<double>& x);
 
 /// Weighted least squares with fixed per-row weights.
 LstsqResult solve_weighted_least_squares(const Matrix& a,
@@ -95,24 +78,14 @@ struct IrlsOptions {
 LstsqResult solve_irls(const Matrix& a, const std::vector<double>& b,
                        const IrlsOptions& options = {});
 
-/// IRLS through a SolverWorkspace: bit-identical results to the overload
-/// above (same operations in the same order), but for systems with
-/// cols <= kSmallMaxCols all per-iteration storage comes from the
-/// workspace, so a warmed workspace makes repeated solves allocation-free
-/// outside the returned result. Wider systems fall through to the classic
-/// path. Note: (re)loads `ws` with this system.
-LstsqResult solve_irls(const Matrix& a, const std::vector<double>& b,
-                       const IrlsOptions& options, SolverWorkspace& ws);
-
-/// Same, writing into a caller-owned result (reuse `out` across calls to
-/// avoid the result-vector allocations too).
-void solve_irls(const Matrix& a, const std::vector<double>& b,
-                const IrlsOptions& options, SolverWorkspace& ws,
-                LstsqResult& out);
-
-/// Same over every row of the system already loaded into `ws` (reshape /
-/// commit, or load), throwing exactly as the overloads above do.
-void solve_irls_loaded(const IrlsOptions& options, SolverWorkspace& ws,
+/// The same IRLS through a SolverWorkspace: (re)loads `ws` with the system
+/// and runs solve_irls_masked over every row, so a warmed workspace and a
+/// reused `out` make repeated solves allocation-free. Bit-identical to the
+/// overload above on the systems both solve. Throws std::invalid_argument
+/// when b.size() != a.rows() or a.cols() is not in [1, kSmallMaxCols];
+/// a failed solve is the returned status (`out` is then unspecified).
+SolveStatus solve_irls(const Matrix& a, const std::vector<double>& b,
+                       const IrlsOptions& options, SolverWorkspace& ws,
                        LstsqResult& out);
 
 /// Non-throwing IRLS over the rows of the system *already loaded* into
@@ -120,7 +93,7 @@ void solve_irls_loaded(const IrlsOptions& options, SolverWorkspace& ws,
 /// must equal the number of selected rows). Equivalent to solve_irls on
 /// the materialized row-subset system — bit-identical x / residuals /
 /// weights / diagnostics — but allocation-free once `ws` and `out` are
-/// warm, and returning a status where the classic path would throw
+/// warm, and returning a status where the Matrix overload would throw
 /// std::domain_error. On a non-kOk status `out` is unspecified.
 SolveStatus solve_irls_masked(SolverWorkspace& ws, const char* mask,
                               std::size_t count, const IrlsOptions& options,

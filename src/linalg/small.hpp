@@ -6,16 +6,18 @@
 // a gram matrix, a factor, and several result vectors per solve — and the
 // consensus sampler performs hundreds of such solves per calibration. The
 // kernels here are the fixed-capacity, stack-allocated, *non-throwing*
-// counterparts, built around one contract:
+// core that every robust (RANSAC / IRLS-family) solve runs on, built
+// around one contract:
 //
 //   Bit-exactness. Each kernel performs the same floating-point
-//   operations in the same order as the general-path code it replaces
+//   operations in the same order as the general Matrix code
 //   (Matrix::gram / weighted_gram / transpose_multiply, Cholesky::factor
-//   / solve, HouseholderQR), so a solver that switches between the two
-//   paths produces byte-identical calibration reports. The engine
-//   determinism and golden-CSV suites referee this contract; the
-//   randomized kernel tests in tests/linalg/test_small.cpp assert exact
-//   (==) agreement, not just closeness.
+//   / solve, HouseholderQR), so the workspace solvers answer exactly as
+//   the classic solve_irls reference on the same system, and calibration
+//   reports keep their bytes. The engine determinism and golden-CSV
+//   suites referee this contract; the randomized kernel tests in
+//   tests/linalg/test_small.cpp assert exact (==) agreement, not just
+//   closeness.
 //
 // The SolverWorkspace holds the loaded system's raw rows and b. Every
 // gram it feeds, weighted or not, is summed straight from those rows in
@@ -88,15 +90,15 @@ void small_cholesky_solve(const SmallCholesky& chol, const double* b,
 SolveStatus small_qr_solve(double a[][kSmallMaxCols], double* b,
                            std::size_t m, std::size_t p, double* x);
 
-/// Reusable scratch for the consensus/IRLS solver stack. One workspace
+/// Reusable scratch for the consensus/IRLS solver core. One workspace
 /// per thread (the batch engine keeps one per pool worker); load() holds
 /// a system's rows and b, and the public buffers back
 /// every intermediate the solvers need. All storage grows geometrically
 /// and never shrinks, so a warmed workspace makes the steady-state
 /// solve loop allocation-free (asserted by tests/perf/test_alloc.cpp).
 ///
-/// A workspace never affects results — solves through a workspace are
-/// bit-identical to the allocating general path.
+/// A workspace never affects results — a fresh one and a reused one give
+/// the same bits.
 class SolverWorkspace {
  public:
   SolverWorkspace() = default;

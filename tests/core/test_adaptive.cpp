@@ -181,6 +181,39 @@ TEST(Adaptive, InvalidIntervalCellIsUnusableNotFatal) {
   EXPECT_TRUE(r.candidates[1].usable);
 }
 
+TEST(Adaptive, FailedRobustSolveCellIsUnusableNotFatal) {
+  // Phase held constant over the inner 0.6 m window: its distance deltas
+  // are all zero, so its systems have a zero d_r column and every robust
+  // solve there fails (the localizer's std::domain_error). The wider
+  // window sees the varying phase outside and still solves.
+  const Vec3 target{0.0, 0.8, 0.0};
+  signal::PhaseProfile profile;
+  for (double y : {0.0, -0.2}) {
+    for (double x = -0.6; x <= 0.6 + 1e-12; x += 0.005) {
+      const Vec3 pos{x, y, 0.0};
+      profile.push_back(
+          {pos,
+           std::abs(x) <= 0.32
+               ? 1.0
+               : rf::distance_phase(linalg::distance(pos, target)),
+           0.0});
+    }
+  }
+  for (const SolveMethod m : {SolveMethod::kHuberIrls, SolveMethod::kRansac}) {
+    SCOPED_TRACE(solve_method_name(m));
+    AdaptiveConfig cfg;
+    cfg.base.target_dim = 2;
+    cfg.base.method = m;
+    cfg.ranges = {0.6, 1.2};
+    cfg.intervals = {0.25};
+    cfg.max_condition = 1e12;
+    const auto r = locate_adaptive(profile, cfg);
+    ASSERT_EQ(r.candidates.size(), 2u);
+    EXPECT_FALSE(r.candidates[0].usable);
+    EXPECT_TRUE(r.candidates[1].usable);
+  }
+}
+
 TEST(Adaptive, ClaimOrderPutsLargestWindowsAndSmallestIntervalsFirst) {
   AdaptiveConfig config;
   config.ranges = {0.6, 1.1, 0.8, 0.7};

@@ -270,6 +270,8 @@ TEST(IncrementalTrackSolver, CleanStreamRecoversTheTagPose) {
   ASSERT_TRUE(tick.valid);
   EXPECT_FALSE(tick.fallback);
   EXPECT_GT(tick.rows, 8u);
+  // A clean stream keeps every row in the consensus.
+  EXPECT_EQ(tick.rows, solver.row_count());
   const Vec3 truth = tag_position_at(p, stream.back().t);
   EXPECT_NEAR((tick.position - truth).norm(), 0.0, 1e-5);
   const Vec3 start_truth = tag_position_at(p, stream.front().t);
@@ -502,8 +504,9 @@ TEST(RansacWarm, EmptyPriorIsBitIdenticalToColdSolve) {
     core::ransac_solve(sys.a, sys.b, opt, ws_cold, cold);
 
     linalg::SolverWorkspace ws_warm;
+    ws_warm.load(sys.a, sys.b);
     core::RansacResult warm;
-    core::ransac_solve_warm(sys.a, sys.b, opt, ws_warm, {}, warm);
+    core::ransac_solve_loaded(opt, ws_warm, warm, nullptr);
 
     ASSERT_EQ(cold.solution.x.size(), warm.solution.x.size());
     for (std::size_t i = 0; i < cold.solution.x.size(); ++i) {
@@ -519,7 +522,9 @@ TEST(RansacWarm, GoodPriorFindsTheConsensus) {
   core::RansacOptions opt;
   linalg::SolverWorkspace ws;
   core::RansacResult out;
-  core::ransac_solve_warm(sys.a, sys.b, opt, ws, sys.truth, out);
+  ws.load(sys.a, sys.b);
+  ASSERT_EQ(core::ransac_solve_loaded(opt, ws, out, sys.truth.data()),
+            linalg::SolveStatus::kOk);
   ASSERT_TRUE(out.consensus);
   ASSERT_EQ(out.solution.x.size(), 2u);
   EXPECT_NEAR(out.solution.x[0], 2.0, 0.05);
@@ -539,7 +544,9 @@ TEST(RansacWarm, StalePriorStillConverges) {
   const std::vector<char> stale(sys.b.size(), 1);
   linalg::SolverWorkspace ws;
   core::RansacResult out;
-  core::ransac_solve_warm(sys.a, sys.b, opt, ws, stale, out);
+  ws.load(sys.a, sys.b);
+  ASSERT_EQ(core::ransac_solve_loaded(opt, ws, out, stale.data()),
+            linalg::SolveStatus::kOk);
   ASSERT_TRUE(out.consensus);
   EXPECT_NEAR(out.solution.x[0], 2.0, 0.05);
   EXPECT_NEAR(out.solution.x[1], 1.0, 0.05);

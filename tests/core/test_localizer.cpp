@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "linalg/decompositions.hpp"
 #include "rf/phase_model.hpp"
 #include "rf/rng.hpp"
 
@@ -317,8 +318,8 @@ TEST(Localizer, PreparedProfileLocatesBitIdenticallyAtEveryInterval) {
       const ProfilePrep prep = LinearLocalizer(cfg).prepare(profile);
       for (const double interval : {0.1, 0.2, 0.35}) {
         SCOPED_TRACE(std::string(solve_method_name(m)) +
-                     (w ? " workspace" : " no workspace") + " interval " +
-                     std::to_string(interval));
+                     (w ? " workspace" : " call-local workspace") +
+                     " interval " + std::to_string(interval));
         cfg.pair_interval = interval;
         const LinearLocalizer localizer(cfg);
         expect_same_result(localizer.locate(profile, prep),
@@ -342,8 +343,10 @@ TEST(Localizer, PreparedProfileLocatesBitIdenticallyAtEveryInterval) {
 
 TEST(Localizer, WorkspacePathBitIdenticalForRobustMethods) {
   // Three lines (3D fix) with noise and a burst of corrupted phases: the
-  // robust methods built straight into a workspace (rows factored in place
-  // for the condition estimate) must answer exactly as the Matrix path.
+  // robust methods, built straight into a workspace (rows factored in
+  // place for the condition estimate), must answer exactly as the Matrix
+  // references on the same system: the classic IRLS (on the consensus
+  // rows, for RANSAC) and HouseholderQR's condition estimate.
   auto ps = dense_line(-0.5, 0.5, 0.0, 0.0, 0.01);
   const auto l2 = dense_line(-0.5, 0.5, -0.2, 0.0, 0.01);
   const auto l3 = dense_line(-0.5, 0.5, 0.0, 0.2, 0.01);
@@ -351,23 +354,98 @@ TEST(Localizer, WorkspacePathBitIdenticalForRobustMethods) {
   ps.insert(ps.end(), l3.begin(), l3.end());
   auto profile = synthetic(ps, {0.05, 0.8, 0.1}, 0.05, 7);
   for (std::size_t i = 40; i < 55; ++i) profile[i].phase += 1.5;
+  const TrajectoryFrame frame = analyze_frame(profile, 3);
+  ASSERT_EQ(frame.rank, 3u);
   linalg::SolverWorkspace ws;
   for (const SolveMethod m :
        {SolveMethod::kIterativeReweighted, SolveMethod::kHuberIrls,
         SolveMethod::kTukeyIrls, SolveMethod::kRansac}) {
+    SCOPED_TRACE(solve_method_name(m));
     LocalizerConfig cfg;
     cfg.target_dim = 3;
     cfg.method = m;
     cfg.pair_interval = 0.1;
     cfg.side_hint = Vec3{0.0, 1.0, 0.0};
+
+    const auto pairs = ladder_pairs(profile, cfg.pair_interval,
+                                    cfg.pair_tolerance, cfg.pair_stride);
+    const LinearSystem sys = build_system(profile, frame, pairs,
+                                          profile.size() / 2, cfg.wavelength);
+    linalg::IrlsOptions irls = cfg.irls;
+    if (m == SolveMethod::kHuberIrls) irls.loss = linalg::RobustLoss::kHuber;
+    if (m == SolveMethod::kTukeyIrls) irls.loss = linalg::RobustLoss::kTukey;
+    linalg::Matrix a = sys.a;
+    std::vector<double> k = sys.k;
+    double inliers = 1.0;
+    if (m == SolveMethod::kRansac) {
+      const RansacResult rr = ransac_solve(sys.a, sys.k, cfg.ransac);
+      inliers = rr.inlier_fraction;
+      k.clear();
+      for (std::size_t i = 0; i < sys.k.size(); ++i) {
+        if (rr.inlier_mask[i]) k.push_back(sys.k[i]);
+      }
+      a = linalg::Matrix(k.size(), sys.a.cols());
+      for (std::size_t i = 0, r = 0; i < sys.k.size(); ++i) {
+        if (!rr.inlier_mask[i]) continue;
+        for (std::size_t c = 0; c < a.cols(); ++c) a(r, c) = sys.a(i, c);
+        ++r;
+      }
+      irls = cfg.ransac.irls;
+      irls.loss = cfg.ransac.refit_loss;
+    }
+    const linalg::LstsqResult ref = linalg::solve_irls(a, k, irls);
+
     const auto want = LinearLocalizer(cfg).locate(profile);
+    EXPECT_EQ(want.equations, sys.a.rows());
+    EXPECT_EQ(want.rms_residual, ref.rms_residual);
+    EXPECT_EQ(want.mean_residual, ref.mean_residual);
+    EXPECT_EQ(want.solver_iterations, ref.iterations);
+    EXPECT_EQ(want.inlier_fraction, inliers);
+    EXPECT_EQ(want.condition,
+              linalg::HouseholderQR(sys.a).condition_estimate());
+    EXPECT_EQ(want.position,
+              frame.from_local({ref.x[0], ref.x[1], ref.x[2]}));
+    EXPECT_EQ(want.reference_distance, std::abs(ref.x[3]));
+
+    // Twice through one caller-owned workspace: the same answer as the
+    // call-local one, and the first solve's in-place QR must not leak
+    // into the second.
     cfg.workspace = &ws;
-    // Twice through one workspace: the first solve's in-place QR must
-    // not leak into the second.
     for (int pass = 0; pass < 2; ++pass) {
-      SCOPED_TRACE(std::string(solve_method_name(m)) + " pass " +
-                   std::to_string(pass));
+      SCOPED_TRACE("pass " + std::to_string(pass));
       expect_same_result(LinearLocalizer(cfg).locate(profile), want);
+    }
+  }
+}
+
+TEST(Localizer, FailedRobustSolveThrowsDomainErrorNamingStatus) {
+  // Constant phase: every distance delta is zero, so the d_r column of
+  // the system is zero and no robust method can solve it.
+  auto ps = dense_line(-0.5, 0.5, 0.0, 0.0, 0.01);
+  const auto l2 = dense_line(-0.5, 0.5, -0.2, 0.0, 0.01);
+  ps.insert(ps.end(), l2.begin(), l2.end());
+  signal::PhaseProfile profile;
+  for (const auto& pos : ps) profile.push_back({pos, 1.0, 0.0});
+  linalg::SolverWorkspace ws;
+  for (const SolveMethod m :
+       {SolveMethod::kIterativeReweighted, SolveMethod::kHuberIrls,
+        SolveMethod::kTukeyIrls, SolveMethod::kRansac}) {
+    linalg::SolverWorkspace* const none = nullptr;
+    for (linalg::SolverWorkspace* w : {&ws, none}) {
+      SCOPED_TRACE(std::string(solve_method_name(m)) +
+                   (w ? " workspace" : " call-local workspace"));
+      LocalizerConfig cfg;
+      cfg.method = m;
+      cfg.workspace = w;
+      try {
+        LinearLocalizer(cfg).locate(profile);
+        ADD_FAILURE() << "expected std::domain_error";
+      } catch (const std::domain_error& e) {
+        EXPECT_NE(std::string(e.what()).find(linalg::solve_status_name(
+                      linalg::SolveStatus::kRankDeficient)),
+                  std::string::npos)
+            << e.what();
+      }
     }
   }
 }

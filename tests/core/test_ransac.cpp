@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/ransac.hpp"
 #include "linalg/matrix.hpp"
@@ -108,11 +110,14 @@ TEST(Ransac, DeterministicForFixedSeed) {
 TEST(Ransac, WorkspacePathBitIdenticalToDefaultPath) {
   linalg::SolverWorkspace ws;
   // Reuse the workspace across several unrelated systems: reuse must not
-  // leak state between solves.
+  // leak state between solves, so the caller-owned workspace and result
+  // match the call-local default bit for bit.
   for (std::uint64_t seed : {5, 6, 7}) {
     const auto p = line_problem(100, 0.3, seed);
     const auto ref = core::ransac_solve(p.a, p.b);
-    const auto got = core::ransac_solve(p.a, p.b, {}, ws);
+    core::RansacResult got;
+    ASSERT_EQ(core::ransac_solve(p.a, p.b, {}, ws, got),
+              linalg::SolveStatus::kOk);
     ASSERT_TRUE(got.consensus);
     EXPECT_EQ(got.solution.x, ref.solution.x);
     EXPECT_EQ(got.solution.residuals, ref.solution.residuals);
@@ -125,12 +130,67 @@ TEST(Ransac, WorkspacePathBitIdenticalToDefaultPath) {
     EXPECT_EQ(got.iterations, ref.iterations);
     EXPECT_EQ(got.consensus, ref.consensus);
 
-    // The caller-owned-result overload matches too.
-    core::RansacResult out;
-    core::ransac_solve(p.a, p.b, {}, ws, out);
-    EXPECT_EQ(out.solution.x, ref.solution.x);
-    EXPECT_EQ(out.inlier_mask, ref.inlier_mask);
+    // The refit is the classic Huber IRLS on the consensus rows.
+    std::size_t count = 0;
+    for (char m : got.inlier_mask) count += m ? 1 : 0;
+    linalg::Matrix sub(count, 2);
+    std::vector<double> sub_b(count);
+    for (std::size_t i = 0, r = 0; i < p.b.size(); ++i) {
+      if (!got.inlier_mask[i]) continue;
+      sub(r, 0) = p.a(i, 0);
+      sub(r, 1) = p.a(i, 1);
+      sub_b[r++] = p.b[i];
+    }
+    linalg::IrlsOptions huber;
+    huber.loss = linalg::RobustLoss::kHuber;
+    const auto refit = linalg::solve_irls(sub, sub_b, huber);
+    EXPECT_EQ(got.solution.x, refit.x);
+    EXPECT_EQ(got.solution.residuals, refit.residuals);
+    EXPECT_EQ(got.solution.weights, refit.weights);
+    EXPECT_EQ(got.solution.rms_residual, refit.rms_residual);
+    EXPECT_EQ(got.solution.iterations, refit.iterations);
   }
+}
+
+TEST(Ransac, RejectsZeroAndWideSystems) {
+  // Only 1..kSmallMaxCols unknowns run in the workspace core; anything
+  // else is a caller error, not a silent detour to another solver.
+  for (const std::size_t p : {std::size_t{0}, linalg::kSmallMaxCols + 1}) {
+    const linalg::Matrix a(12, p);
+    const std::vector<double> b(12, 1.0);
+    EXPECT_THROW(core::ransac_solve(a, b), std::invalid_argument)
+        << p << " columns";
+    linalg::SolverWorkspace ws;
+    core::RansacResult out;
+    EXPECT_THROW(core::ransac_solve(a, b, {}, ws, out), std::invalid_argument)
+        << p << " columns";
+  }
+}
+
+TEST(Ransac, FailedSolveIsAStatus) {
+  // A zero column: every subset and the full-row fallback are rank
+  // deficient. The workspace entries return the status; the value-returning
+  // overload throws std::domain_error naming it.
+  linalg::Matrix a(12, 2);
+  std::vector<double> b(12);
+  for (std::size_t i = 0; i < 12; ++i) {
+    a(i, 0) = static_cast<double>(i + 1);
+    b[i] = static_cast<double>(i % 3);
+  }
+  linalg::SolverWorkspace ws;
+  core::RansacResult out;
+  EXPECT_EQ(core::ransac_solve(a, b, {}, ws, out),
+            linalg::SolveStatus::kRankDeficient);
+  try {
+    core::ransac_solve(a, b);
+    ADD_FAILURE() << "expected std::domain_error";
+  } catch (const std::domain_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank_deficient"), std::string::npos)
+        << e.what();
+  }
+  ws.reshape(1, 2);
+  EXPECT_EQ(core::ransac_solve_loaded({}, ws, out),
+            linalg::SolveStatus::kUnderdetermined);
 }
 
 TEST(Ransac, DegenerateSubsetsAreCountedNotThrown) {

@@ -253,53 +253,6 @@ TEST(SolveStatusNames, AreStable) {
                "rank_deficient");
 }
 
-TEST(LeastSquares, SolutionOnlyEntryMatchesFullSolveBitExact) {
-  std::mt19937 rng(31);
-  std::uniform_real_distribution<double> d(-2.0, 2.0);
-  for (int trial = 0; trial < 25; ++trial) {
-    Matrix a(12, 3);
-    std::vector<double> b(12);
-    for (std::size_t i = 0; i < 12; ++i) {
-      for (std::size_t j = 0; j < 3; ++j) a(i, j) = d(rng);
-      b[i] = d(rng);
-    }
-    const auto full = solve_least_squares(a, b);
-    const auto sol = solve_least_squares_solution(a, b);
-    ASSERT_EQ(sol.size(), full.x.size());
-    for (std::size_t i = 0; i < sol.size(); ++i) EXPECT_EQ(sol[i], full.x[i]);
-  }
-  // Same failure modes as the diagnostic entry point.
-  EXPECT_THROW(solve_least_squares_solution(Matrix(1, 2), {1.0}),
-               std::domain_error);
-  EXPECT_THROW(solve_least_squares_solution(Matrix(3, 2), {1.0}),
-               std::invalid_argument);
-}
-
-TEST(LeastSquares, TrySolveStatusMatchesThrowingPath) {
-  std::vector<double> x;
-  EXPECT_EQ(try_solve_least_squares(Matrix(1, 2), {1.0}, x),
-            SolveStatus::kUnderdetermined);
-
-  // Identical columns: the throwing path raises domain_error, the status
-  // path reports kRankDeficient — same systems, same classification.
-  const Matrix deficient{{1.0, 1.0}, {2.0, 2.0}, {3.0, 3.0}};
-  const std::vector<double> b{1.0, 2.0, 3.0};
-  EXPECT_THROW(solve_least_squares(deficient, b), std::domain_error);
-  EXPECT_EQ(try_solve_least_squares(deficient, b, x),
-            SolveStatus::kRankDeficient);
-
-  const Matrix ok{{1.0, 0.0}, {0.0, 1.0}, {1.0, 1.0}};
-  const std::vector<double> bo{2.0, 3.0, 5.0};
-  ASSERT_EQ(try_solve_least_squares(ok, bo, x), SolveStatus::kOk);
-  const auto ref = solve_least_squares(ok, bo);
-  ASSERT_EQ(x.size(), ref.x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], ref.x[i]);
-
-  // A rhs size mismatch is a caller bug, not a data property: still throws.
-  EXPECT_THROW(try_solve_least_squares(Matrix(3, 2), {1.0}, x),
-               std::invalid_argument);
-}
-
 TEST(RobustWeights, TukeyHardZerosSurviveLargeMinSigma) {
   // Regression for the weight-mass gate: the old check compared the total
   // weight mass against min_sigma — a residual *scale* in measurement
@@ -346,7 +299,7 @@ TEST(Irls, WorkspaceOverloadBitIdenticalAcrossLosses) {
       const auto legacy = solve_irls(a, b, opt);
       SolverWorkspace ws;
       LstsqResult got;
-      solve_irls(a, b, opt, ws, got);
+      ASSERT_EQ(solve_irls(a, b, opt, ws, got), SolveStatus::kOk);
 
       EXPECT_EQ(got.x, legacy.x);
       EXPECT_EQ(got.residuals, legacy.residuals);
@@ -400,6 +353,33 @@ TEST(Irls, MaskedSolveMatchesMaterializedSubsystemBitExact) {
   EXPECT_EQ(got.rms_residual, ref.rms_residual);
   EXPECT_EQ(got.iterations, ref.iterations);
   EXPECT_EQ(got.converged, ref.converged);
+}
+
+TEST(Irls, WorkspaceOverloadRejectsZeroAndWideSystems) {
+  // Only 1..kSmallMaxCols unknowns run in the workspace core; anything
+  // else is a caller error, not a silent detour to another solver.
+  for (const std::size_t p : {std::size_t{0}, kSmallMaxCols + 1}) {
+    SolverWorkspace ws;
+    LstsqResult out;
+    EXPECT_THROW(solve_irls(Matrix(12, p), std::vector<double>(12, 1.0), {},
+                            ws, out),
+                 std::invalid_argument)
+        << p << " columns";
+  }
+}
+
+TEST(Irls, WorkspaceOverloadReportsWhereClassicThrows) {
+  // Identical columns: the classic IRLS throws std::domain_error, the
+  // workspace overload returns the status instead.
+  const Matrix deficient{{1.0, 1.0}, {2.0, 2.0}, {3.0, 3.0}};
+  const std::vector<double> b{1.0, 2.0, 3.0};
+  EXPECT_THROW(solve_irls(deficient, b), std::domain_error);
+  SolverWorkspace ws;
+  LstsqResult out;
+  EXPECT_EQ(solve_irls(deficient, b, {}, ws, out),
+            SolveStatus::kRankDeficient);
+  EXPECT_EQ(solve_irls(Matrix(1, 2), {1.0}, {}, ws, out),
+            SolveStatus::kUnderdetermined);
 }
 
 TEST(Irls, MaskedSolveReportsUnderdeterminedStatus) {
