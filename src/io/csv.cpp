@@ -2,53 +2,108 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cfloat>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace lion::io {
 
 namespace {
 
-std::string trim(std::string_view s) {
+// The "C"-locale isspace set, without the locale lookup.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+std::string_view trim(std::string_view s) {
   std::size_t a = 0;
   std::size_t b = s.size();
-  while (a < b && std::isspace(static_cast<unsigned char>(s[a]))) ++a;
-  while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1]))) --b;
-  return std::string(s.substr(a, b - a));
+  while (a < b && is_space(s[a])) ++a;
+  while (b > a && is_space(s[b - 1])) --b;
+  return s.substr(a, b - a);
 }
 
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::string field;
-  std::stringstream ss(line);
-  while (std::getline(ss, field, ',')) out.push_back(trim(field));
-  return out;
-}
-
-// std::stod semantics (so "nan"/"inf"/hex floats keep parsing exactly as
-// they always did), full-field consumption required, no exception escapes.
-bool parse_double(const std::string& s, std::size_t line_no, double& out,
-                  std::string& error) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) throw std::invalid_argument("trailing characters");
-    out = v;
-    return true;
-  } catch (const std::exception&) {
-    error = "csv: non-numeric field '" + s + "' on line " +
-            std::to_string(line_no);
-    return false;
+// Splits exactly as std::getline(stream, field, ',') does: every comma
+// ends a field, so ",," yields an empty field, but a trailing comma opens
+// none. Views point into `line`.
+void split_fields(std::string_view line, std::vector<std::string_view>& out) {
+  out.clear();
+  std::size_t start = 0;
+  for (;;) {
+    const std::size_t comma = line.find(',', start);
+    if (comma == std::string_view::npos) {
+      if (start < line.size()) out.push_back(trim(line.substr(start)));
+      return;
+    }
+    out.push_back(trim(line.substr(start, comma - start)));
+    start = comma + 1;
   }
 }
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
+// A field of only '0', '.' and '-': from_chars and strtod both read it as
+// an exact signed zero.
+bool plain_zero(std::string_view s) {
+  return std::all_of(s.begin(), s.end(),
+                     [](char c) { return c == '0' || c == '.' || c == '-'; });
+}
+
+// std::stod's rule, which is the grammar: strtod over the NUL-terminated
+// field must convert something, consume the whole field and not report
+// ERANGE. So "nan"/"inf"/hex floats and a leading '+' keep parsing, and
+// an embedded NUL ends the number early.
+bool strtod_field(std::string_view s, double& out) {
+  char stack[128];
+  std::string heap;
+  char* buf = stack;
+  if (s.size() < sizeof stack) {
+    std::memcpy(stack, s.data(), s.size());
+    stack[s.size()] = '\0';
+  } else {
+    heap.assign(s);
+    buf = heap.data();
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(buf, &end);
+  if (end == buf || errno == ERANGE ||
+      static_cast<std::size_t>(end - buf) != s.size()) {
+    return false;
+  }
+  out = v;
+  return true;
+}
+
+// from_chars and strtod both round correctly, so they agree wherever
+// from_chars reads the whole field to a double of magnitude strictly
+// between DBL_MIN and DBL_MAX (no ERANGE can arise there), or to a plain
+// zero. Everything else (a leading '+', hex, inf/nan, a partial read,
+// subnormals, underflow, overflow and the two boundary values) takes the
+// strtod rule itself.
+bool parse_double(std::string_view s, double& out) {
+  const char* first = s.data();
+  const char* last = first + s.size();
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(first, last, v);
+  if (ec == std::errc() && ptr == last) {
+    const double mag = std::fabs(v);
+    if ((mag > DBL_MIN && mag < DBL_MAX) || (v == 0.0 && plain_zero(s))) {
+      out = v;
+      return true;
+    }
+  }
+  return strtod_field(s, out);
+}
+
+std::string lower(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  return s;
+  return out;
 }
 
 }  // namespace
@@ -62,12 +117,13 @@ void CsvStreamParser::reset() {
 CsvStreamParser::Result CsvStreamParser::push_line(std::string_view line) {
   Result out;
   ++line_no_;
-  const std::string stripped = trim(line);
+  const std::string_view stripped = trim(line);
   if (stripped.empty() || stripped[0] == '#') {
     out.status = CsvRowStatus::kSkipped;
     return out;
   }
-  const auto fields = split_fields(stripped);
+  split_fields(stripped, fields_);
+  const std::vector<std::string_view>& fields = fields_;
 
   if (!layout_known_) {
     // Header detection: any recognised column name makes this a header
@@ -136,13 +192,11 @@ CsvStreamParser::Result CsvStreamParser::push_line(std::string_view line) {
   }
   sim::PhaseSample s;
   auto parse_into = [&](int idx, double& dst) {
-    double v = 0.0;
-    if (!parse_double(fields[static_cast<std::size_t>(idx)], line_no_, v,
-                      out.error)) {
-      return false;
-    }
-    dst = v;
-    return true;
+    const std::string_view f = fields[static_cast<std::size_t>(idx)];
+    if (parse_double(f, dst)) return true;
+    out.error = "csv: non-numeric field '" + std::string(f) + "' on line " +
+                std::to_string(line_no_);
+    return false;
   };
   double channel = 0.0;
   const bool parsed =

@@ -19,6 +19,24 @@
 //     status out. This is the parser the streaming service feeds network
 //     bytes into, where a malformed row must become an error response,
 //     never an exception unwinding a server thread.
+//
+// Row grammar, decoded in one pass without heap allocation once the
+// layout is locked (journal replay and live ingest feed every row through
+// it):
+//   - the line is trimmed of "C"-locale whitespace; empty and '#' lines
+//     are skipped;
+//   - fields split exactly as std::getline(stream, field, ',') splits:
+//     ",," yields an empty field, a trailing ',' opens none; each field is
+//     trimmed in place (string_views into the line, kept in reused
+//     storage);
+//   - a number is what std::stod accepts: strtod over the NUL-terminated
+//     field converts something, consumes the whole field and reports no
+//     ERANGE. std::from_chars decides the common case. Wherever the two
+//     can disagree (a leading '+', hex, inf/nan, a partial read, and any
+//     result that is not strictly between DBL_MIN and DBL_MAX in
+//     magnitude, unless the field is a plain zero) the field is re-read by
+//     strtod from a stack copy, so the accepted set, the error text and
+//     the sample bits are those of the stod rule.
 #pragma once
 
 #include <cstddef>
@@ -80,6 +98,7 @@ class CsvStreamParser {
   bool layout_known_ = false;
   Layout layout_;
   std::size_t line_no_ = 0;
+  std::vector<std::string_view> fields_;  ///< current row's fields (reused)
 };
 
 /// Parse a CSV stream of phase samples.

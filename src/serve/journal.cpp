@@ -98,20 +98,39 @@ bool read_file(const std::string& path, std::string& out) {
 }  // namespace
 
 std::uint32_t journal_crc32(std::string_view data) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+  // Slicing-by-8: t[0] is the classic bytewise table; t[k][b] advances the
+  // CRC of byte b through k further zero bytes, so eight table lookups
+  // fold eight input bytes at once. Same polynomial, same values.
+  using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+  static const Tables t = [] {
+    Tables out{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      out[0][i] = c;
     }
-    return t;
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t prev = out[k - 1][i];
+        out[k][i] = out[0][prev & 0xFF] ^ (prev >> 8);
+      }
+    }
+    return out;
   }();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (crc >> 8);
+  const char* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^
+          t[5][(lo >> 16) & 0xFF] ^ t[4][lo >> 24] ^ t[3][hi & 0xFF] ^
+          t[2][(hi >> 8) & 0xFF] ^ t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = t[0][(crc ^ static_cast<unsigned char>(*p)) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -350,11 +369,28 @@ std::string JournalStore::path_for(const std::string& id) const {
 
 std::optional<RecoveredSession> JournalStore::claim(const std::string& id,
                                                     std::string& error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (attached_.count(id) != 0) {
-    error = "journal: session '" + id + "' is attached to a live connection";
-    return std::nullopt;
+  // Only the attach mark is taken under mu_. The file I/O below runs
+  // outside it, so shards restoring different sessions do not queue behind
+  // each other; the mark alone keeps a concurrent claim of the same id out.
+  // Every way out but a successful claim drops the mark again.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!attached_.insert(id).second) {
+      error = "journal: session '" + id + "' is attached to a live connection";
+      return std::nullopt;
+    }
   }
+  struct Mark {
+    JournalStore* store;
+    const std::string& id;
+    bool keep = false;
+    ~Mark() {
+      if (keep) return;
+      std::lock_guard<std::mutex> lock(store->mu_);
+      store->attached_.erase(id);
+    }
+  } mark{this, id};
+
   const std::string path = path_for(id);
   std::string bytes;
   if (!read_file(path, bytes)) return std::nullopt;  // no journal: fresh
@@ -399,7 +435,7 @@ std::optional<RecoveredSession> JournalStore::claim(const std::string& id,
   out.torn = decode.torn;
   decode.records.erase(decode.records.begin());
   out.records = std::move(decode.records);
-  attached_.insert(id);
+  mark.keep = true;
   claims_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }

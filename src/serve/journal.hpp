@@ -52,8 +52,10 @@
 
 namespace lion::serve {
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data`. Public because
-/// the codec fuzz suite builds deliberately corrupt frames with it.
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data`, computed
+/// slicing-by-8 (the bytewise table's values, eight bytes per step).
+/// Public because the codec fuzz suite builds deliberately corrupt frames
+/// with it.
 std::uint32_t journal_crc32(std::string_view data);
 
 /// 8-byte file magic every journal starts with.
@@ -199,7 +201,10 @@ class JournalStore {
   /// Hand the journaled state of `id` to the calling service and mark it
   /// attached. nullopt when no (usable) journal exists — a file with no
   /// valid declare record is renamed aside as `.corrupt` and treated as
-  /// absent. Fails (nullopt + error) when another live service holds it.
+  /// absent; either way the id is left unattached. Fails (nullopt + error)
+  /// when another live service holds it, or is claiming it right now: the
+  /// store lock covers only the attach mark, and the read, decode, torn-
+  /// tail truncate and quarantine run outside it.
   std::optional<RecoveredSession> claim(const std::string& id,
                                         std::string& error);
 

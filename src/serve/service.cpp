@@ -868,10 +868,12 @@ void StreamService::handle_pose_tick(std::unique_lock<std::mutex>& lock,
     fix.sigma = tr.sigma;
     fix.mean_residual = tr.rms;
     fix.valid = true;
+    // Journal before emit, like every mutation: the record stamps
+    // clock_ticks_ and next_seq_, which emit touches neither of.
+    journal_append(session, JournalRecordType::kPoseTick, "");
     emit(seq, tick_response(id, seq, tick_index, fix, tr.rows,
                             "incremental"),
          current_origin_);
-    journal_append(session, JournalRecordType::kPoseTick, "");
     return;
   }
 

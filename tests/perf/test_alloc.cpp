@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/ransac.hpp"
+#include "io/csv.hpp"
 #include "linalg/lstsq.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/small.hpp"
@@ -202,6 +203,37 @@ TEST(AllocationContract, ReloadAcrossShapesStaysAllocationFreeOnceWarm) {
     core::ransac_solve(large.a, large.b, opt, ws, out);
   });
   EXPECT_EQ(n, 0u) << "shape switch reallocated " << n << " times";
+}
+
+TEST(AllocationContract, CsvDataRowIsAllocationFreeOnceLayoutIsLocked) {
+  // Journal replay and live ingest decode every row through push_line, so
+  // a data row must cost no heap traffic once the header (or the first
+  // positional row) has fixed the layout. The rows use the journal's
+  // %.17g form and the hex/`+` spellings that take the strtod path.
+  const char* rows[] = {
+      "0.12345678901234568,0.80000000000000004,-0.0050000000000000001,"
+      "4.7123889803846897,-55.5,3,12.345678901234567",
+      " -0.5 , 0.75 ,0, 1e-3 ,-60,0,0.1\r",
+      "+0.25,0x1.8p-1,-0,inf,-61,1,2.5",
+  };
+  io::CsvStreamParser named;
+  ASSERT_EQ(named.push_line("x,y,z,phase,rssi,channel,t").status,
+            io::CsvRowStatus::kHeader);
+  io::CsvStreamParser positional;
+  ASSERT_EQ(positional.push_line(rows[0]).status, io::CsvRowStatus::kSample);
+
+  std::size_t parsed = 0;
+  const std::size_t n = allocations_during([&] {
+    for (int pass = 0; pass < 100; ++pass) {
+      for (const char* row : rows) {
+        parsed += named.push_line(row).status == io::CsvRowStatus::kSample;
+        parsed +=
+            positional.push_line(row).status == io::CsvRowStatus::kSample;
+      }
+    }
+  });
+  EXPECT_EQ(parsed, 600u);
+  EXPECT_EQ(n, 0u) << "600 data rows allocated " << n << " times";
 }
 
 }  // namespace

@@ -9,12 +9,16 @@
 #include <dirent.h>
 #include <sys/stat.h>
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/journal.hpp"
@@ -174,6 +178,47 @@ TEST(JournalCodec, CrcIsTheIeeeReflectedPolynomial) {
   // Pin the CRC so journals stay readable across refactors.
   EXPECT_EQ(journal_crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(journal_crc32(""), 0u);
+}
+
+/// The textbook bytewise CRC-32 the slicing-by-8 tables are built from.
+std::uint32_t bytewise_crc32(std::string_view data) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(JournalCodec, SlicedCrcMatchesBytewiseAtEveryLengthAndAlignment) {
+  // Every tail length around the 8-byte step, at every start offset mod 8.
+  Lcg rng;
+  std::string buf(64 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.next() & 0xff);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view view(buf.data() + offset, len);
+      EXPECT_EQ(journal_crc32(view), bytewise_crc32(view))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(JournalCodec, SlicedCrcMatchesBytewiseOnRandomMegabytes) {
+  Lcg rng;
+  for (int trial = 0; trial < 3; ++trial) {
+    std::string buf(1 << 20, '\0');
+    for (char& c : buf) c = static_cast<char>(rng.next() & 0xff);
+    EXPECT_EQ(journal_crc32(buf), bytewise_crc32(buf)) << trial;
+    const std::string_view odd =
+        std::string_view(buf).substr(3, buf.size() - 8);
+    EXPECT_EQ(journal_crc32(odd), bytewise_crc32(odd)) << trial;
+  }
 }
 
 TEST(JournalCodec, NormalizedDeclareIsOrderAndSpellingInvariant) {
@@ -357,6 +402,103 @@ TEST(JournalStore, FuzzedGarbageFilesNeverThrow) {
       }
     });
   }
+}
+
+std::string attached_error(const std::string& id) {
+  return "journal: session '" + id + "' is attached to a live connection";
+}
+
+TEST(JournalStore, ConcurrentClaimsOfOneIdAdmitExactlyOne) {
+  TempDir tmp;
+  JournalStore store(store_cfg(tmp.path));
+  write_session_journal(store, "one", 200);
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<std::optional<RecoveredSession>> results(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      results[i] = store.claim("one", errors[i]);
+    });
+  }
+  go.store(true);
+  for (auto& t : threads) t.join();
+  int winners = 0;
+  for (int i = 0; i < kThreads; ++i) {
+    if (results[i]) {
+      ++winners;
+      EXPECT_TRUE(errors[i].empty());
+      EXPECT_EQ(results[i]->record_count, 201u);
+    } else {
+      EXPECT_EQ(errors[i], attached_error("one"));
+    }
+  }
+  EXPECT_EQ(winners, 1);
+  EXPECT_EQ(store.stats().claims, 1u);
+}
+
+TEST(JournalStore, ConcurrentClaimsOfDistinctIdsEachGetTheirOwnRecords) {
+  TempDir tmp;
+  JournalStore store(store_cfg(tmp.path));
+  constexpr int kThreads = 8;
+  for (int i = 0; i < kThreads; ++i) {
+    write_session_journal(store, "s" + std::to_string(i), 10 + 7 * i);
+  }
+  std::atomic<bool> go{false};
+  std::vector<std::optional<RecoveredSession>> results(kThreads);
+  std::vector<std::string> errors(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      results[i] = store.claim("s" + std::to_string(i), errors[i]);
+    });
+  }
+  go.store(true);
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    const std::string id = "s" + std::to_string(i);
+    ASSERT_TRUE(results[i].has_value()) << id << ": " << errors[i];
+    EXPECT_EQ(results[i]->id, id);
+    EXPECT_EQ(results[i]->declare_line, declare_for(id));
+    const std::size_t rows = 10 + 7 * static_cast<std::size_t>(i);
+    ASSERT_EQ(results[i]->records.size(), rows) << id;
+    EXPECT_EQ(results[i]->records.back().line,
+              "0.1,0.2,0.3," + std::to_string(rows - 1));
+  }
+  EXPECT_EQ(store.stats().claims, static_cast<std::uint64_t>(kThreads));
+  // Each id stays claimed by its winner.
+  std::string error;
+  EXPECT_FALSE(store.claim("s3", error).has_value());
+  EXPECT_EQ(error, attached_error("s3"));
+}
+
+TEST(JournalStore, FailedClaimLeavesTheIdFree) {
+  TempDir tmp;
+  {
+    std::ofstream f(tmp.path + "/bad.lionj", std::ios::binary);
+    f.write(kJournalMagic, sizeof(kJournalMagic));
+    f << "this is not a journal record";
+  }
+  JournalStore store(store_cfg(tmp.path));
+  for (const std::string id : {"absent", "bad"}) {
+    SCOPED_TRACE(id);
+    std::string error;
+    EXPECT_FALSE(store.claim(id, error).has_value());
+    EXPECT_TRUE(error.empty()) << error;
+    // A later claim is not refused as attached ...
+    EXPECT_FALSE(store.claim(id, error).has_value());
+    EXPECT_TRUE(error.empty()) << error;
+    // ... and the fresh session's writer journals and hands it back.
+    write_session_journal(store, id, 3);
+    const auto rec = store.claim(id, error);
+    ASSERT_TRUE(rec.has_value()) << error;
+    EXPECT_EQ(rec->record_count, 4u);
+    store.detach(id);
+  }
+  EXPECT_EQ(store.stats().corrupt_files, 1u);
 }
 
 }  // namespace

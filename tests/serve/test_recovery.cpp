@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -577,6 +578,55 @@ TEST(Recovery, RestoreRebuildsIncrementalStateForPostCrashTicks) {
   const std::size_t cut = 1 + rows;  // every row fed, the tick never sent
   const auto combined = crash_and_resume(input, "belt", cut);
   ASSERT_EQ(combined, baseline);
+}
+
+// An incremental pose tick is journaled before it is emitted, like every
+// other mutation (DESIGN §12.3): the sink re-reads the session's journal
+// as each incremental tick line arrives, and that tick's kPoseTick record
+// (with every earlier tick's) must already be on disk.
+TEST(Recovery, IncrementalTickIsJournaledBeforeItIsEmitted) {
+  TempDir tmp;
+  serve::JournalStoreConfig jcfg;
+  jcfg.dir = tmp.path;
+  jcfg.fsync_every = 8;
+  serve::JournalStore store(jcfg);
+  ASSERT_TRUE(store.ok()) << store.error();
+  const std::string path = store.path_for("belt");
+
+  std::mutex mu;
+  std::size_t checked = 0;
+  std::vector<std::string> early;
+  serve::ServiceConfig cfg;
+  cfg.threads = 2;
+  cfg.journal = &store;
+  serve::StreamService service(cfg, [&](std::string_view view) {
+    const std::string line(view);
+    if (line.find("\"schema\":\"lion.tick.v1\"") == std::string::npos ||
+        line.find("\"source\":\"incremental\"") == std::string::npos) {
+      return;
+    }
+    const std::string bytes = read_file(path);
+    std::size_t on_disk = 0;
+    if (bytes.size() >= sizeof serve::kJournalMagic) {
+      const auto decoded = serve::decode_journal_records(
+          std::string_view(bytes).substr(sizeof serve::kJournalMagic));
+      for (const auto& r : decoded.records) {
+        on_disk += r.type == serve::JournalRecordType::kPoseTick;
+      }
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    ++checked;
+    if (on_disk < uint_field(line, "tick") + 1) early.push_back(line);
+  });
+  for (const auto& l : build_tick_input(160, 10)) service.ingest_line(l);
+  service.drain();
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_GT(checked, 5u) << "scenario never reached the incremental path";
+  EXPECT_TRUE(early.empty()) << early.size() << " of " << checked
+                             << " incremental ticks were emitted before "
+                                "their kPoseTick record, first: "
+                             << (early.empty() ? "" : early.front());
 }
 
 // ---------------------------------------------------------------------------
