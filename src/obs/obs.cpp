@@ -45,15 +45,11 @@ void register_pipeline_metrics() {
   auto& reg = MetricsRegistry::instance();
   (void)stage_histogram_ids();
   // Counters, one authoritative list so snapshots always carry the schema.
+  // Serve counters live in serve::kServeCounters, not in the registry.
   for (const char* name :
        {"radical.rows", "ransac.iterations", "ransac.degenerate_subsets",
         "ransac.fallbacks", "ransac.consensus", "irls.nonconverged",
-        "engine.jobs", "engine.steals", "engine.exceptions", "serve.lines",
-        "serve.samples", "serve.requests", "serve.errors", "serve.evictions",
-        "serve.backpressure_waits", "serve.rejected_busy", "serve.timeouts",
-        "serve.oversized", "serve.ticks", "serve.tick_fallbacks",
-        "serve.replay_solves", "serve.replay_memo_restores",
-        "serve.replay_memo_failures", "adaptive.cells",
+        "engine.jobs", "engine.steals", "engine.exceptions", "adaptive.cells",
         "adaptive.cells_offloaded", "select.bracket_misses",
         "select.warm_misses"}) {
     (void)reg.try_counter(name);

@@ -46,7 +46,7 @@ enum class Stage : std::size_t {
   // Serve-side request tracing (trace arg = trace id): the stations one
   // flush visits between the ingest thread and the ordered emitter.
   kDemux,          ///< serve/service: session lookup + admission
-  kQueueWait,      ///< serve/service: schedule() to worker pickup
+  kQueueWait,      ///< serve/service: submit to worker pickup
   kServeSolve,     ///< serve/service: worker-side calibration solve
   kReorder,        ///< serve/service: emitter hold for in-order release
   kJournalAppend,  ///< serve/journal: one record append

@@ -2,7 +2,7 @@
 // format every scraper accepts).
 //
 // The registry's dotted metric names map to Prometheus conventions:
-// "serve.lines" becomes "lion_serve_lines_total" (counter) and
+// "engine.jobs" becomes "lion_engine_jobs_total" (counter) and
 // "stage.solve.seconds" becomes "lion_stage_solve_seconds" (histogram
 // with cumulative `_bucket{le=...}` series, `_sum`, and `_count`).
 // Rendering is deterministic for fixed recorded values — names are
@@ -22,7 +22,7 @@
 
 namespace lion::obs {
 
-/// "serve.lines" -> "lion_serve_lines"; any character outside
+/// "engine.jobs" -> "lion_engine_jobs"; any character outside
 /// [a-zA-Z0-9_] becomes '_', and a leading digit gains a '_' prefix.
 std::string prometheus_name(const std::string& name);
 

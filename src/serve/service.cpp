@@ -27,7 +27,25 @@ StreamService::RoutedSink route_plain(StreamService::Sink sink) {
   };
 }
 
+/// Append `,"name":value` to a JSON object under construction.
+void append_field(std::string& out, const char* name, std::uint64_t value) {
+  out += ",\"";
+  out += name;
+  out += "\":";
+  out += std::to_string(value);
+}
+
 }  // namespace
+
+FallbackRatios fallback_ratios(const ServeStats& stats) {
+  const auto ratio = [&stats](ServeCounter part, ServeCounter whole) {
+    return stats[whole] == 0 ? 0.0
+                             : static_cast<double>(stats[part]) /
+                                   static_cast<double>(stats[whole]);
+  };
+  return {ratio(ServeCounter::kTickFallbacks, ServeCounter::kPoseTicks),
+          ratio(ServeCounter::kCalFallbacks, ServeCounter::kCalFlushes)};
+}
 
 StreamService::StreamService(ServiceConfig config, Sink sink)
     : StreamService(std::move(config), route_plain(std::move(sink)),
@@ -123,9 +141,8 @@ void StreamService::emit_error(const std::string& session,
                                const std::string& code,
                                const std::string& detail, bool parse_error) {
   // Caller holds mu_ (lock order mu_ -> emit_mu_ is the designed one).
-  ++stats_.errors;
-  if (parse_error) ++stats_.parse_errors;
-  LION_OBS_COUNT("serve.errors", 1);
+  ++stats_[ServeCounter::kErrors];
+  if (parse_error) ++stats_[ServeCounter::kParseErrors];
   const auto it = sessions_.find(session);
   if (it != sessions_.end()) ++it->second.request_errors;
   const std::uint64_t seq = reserve_seq();
@@ -198,8 +215,7 @@ void StreamService::report_oversized(std::size_t count, std::uint64_t origin) {
   if (count == 0) return;
   std::unique_lock<std::mutex> lock(mu_);
   current_origin_ = origin;
-  stats_.oversized += count;
-  LION_OBS_COUNT("serve.oversized", count);
+  stats_[ServeCounter::kOversized] += count;
   for (std::size_t i = 0; i < count; ++i) {
     emit_error("", "oversized_line",
                "wire: line exceeded max_line_bytes and was dropped", false);
@@ -218,10 +234,9 @@ void StreamService::ingest_line(std::string_view line, std::uint64_t origin) {
 void StreamService::handle_line(const ParsedLine& line, std::uint64_t origin) {
   std::unique_lock<std::mutex> lock(mu_);
   current_origin_ = origin;
-  ++stats_.lines;
+  ++stats_[ServeCounter::kLines];
   ++clock_ticks_;  // the virtual clock: one tick per wire line
   ++next_trace_id_;  // trace id of this line = current_trace_id()
-  LION_OBS_COUNT("serve.lines", 1);
   switch (line.kind) {
     case ParsedLine::kComment:
       break;
@@ -241,7 +256,7 @@ void StreamService::handle_line(const ParsedLine& line, std::uint64_t origin) {
       break;
     case ParsedLine::kTick:
       clock_ticks_ += line.ticks;
-      LION_OBS_COUNT("serve.ticks", line.ticks);
+      stats_[ServeCounter::kClockAdvances] += line.ticks;
       break;
     case ParsedLine::kPoseTick:
       handle_pose_tick(lock, line.session);
@@ -340,8 +355,7 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
     session.journal = store->open_writer(session.id, 0);
     if (!session.journal) {
       session.journal_degraded = true;
-      ++stats_.journal_errors;
-      LION_OBS_COUNT("serve.journal_errors", 1);
+      ++stats_[ServeCounter::kJournalErrors];
       event(obs::Severity::kError, "journal_degraded", session.id,
             "could not open journal; session is not durable");
       emit_error(session.id, "journal_error",
@@ -387,8 +401,7 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
   session.journal = store->open_writer(session.id, rec->record_count);
   if (!session.journal) {
     session.journal_degraded = true;
-    ++stats_.journal_errors;
-    LION_OBS_COUNT("serve.journal_errors", 1);
+    ++stats_[ServeCounter::kJournalErrors];
     event(obs::Severity::kError, "journal_degraded", session.id,
           "could not reopen journal; session is no longer durable");
     emit_error(session.id, "journal_error",
@@ -401,8 +414,7 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
     journal_append(session, JournalRecordType::kCalAnchor,
                    cal_anchor_line(session.memo));
   }
-  ++stats_.restores;
-  LION_OBS_COUNT("serve.restores", 1);
+  ++stats_[ServeCounter::kRestores];
   event(obs::Severity::kInfo, "restore", session.id,
         "session restored from journal", rec->record_count);
   restored = std::move(rec);
@@ -475,7 +487,7 @@ bool StreamService::replay_records(StreamSession& session,
       if (anchor->digest == digest) {
         session.memo.install(anchor->samples, digest,
                              std::string(anchor->report_json));
-        LION_OBS_COUNT("serve.replay_memo_restores", 1);
+        ++stats_[ServeCounter::kReplayMemoRestores];
         return false;
       }
       event(obs::Severity::kWarn, "restore_memo_mismatch", session.id,
@@ -486,7 +498,7 @@ bool StreamService::replay_records(StreamSession& session,
     // the batch solve the live path ran over the prefix. The pipeline is
     // deterministic, so the rebuilt memo is the pre-crash one. This
     // thread is not a pool worker, so every pool thread may help.
-    LION_OBS_COUNT("serve.replay_solves", 1);
+    ++stats_[ServeCounter::kReplaySolves];
     const std::vector<sim::PhaseSample> prefix(
         session.buffer.begin(),
         session.buffer.begin() + static_cast<std::ptrdiff_t>(anchor->samples));
@@ -500,7 +512,7 @@ bool StreamService::replay_records(StreamSession& session,
   } catch (...) {
     // A memo that cannot be rebuilt stays empty: every post-restore
     // flush takes the full solve — degraded, never wrong.
-    LION_OBS_COUNT("serve.replay_memo_failures", 1);
+    ++stats_[ServeCounter::kReplayMemoFailures];
     event(obs::Severity::kWarn, "restore_memo_failed", session.id,
           "could not rebuild the calibrate memo; next flush re-solves",
           anchor->samples);
@@ -565,14 +577,23 @@ void StreamService::journal_append(StreamSession& session,
   if (ok) return;
   // Latch: one error response per session, then keep serving non-durably.
   session.journal_degraded = true;
-  ++stats_.journal_errors;
-  LION_OBS_COUNT("serve.journal_errors", 1);
+  ++stats_[ServeCounter::kJournalErrors];
   event(obs::Severity::kError, "journal_degraded", session.id,
         "append failed; session is no longer durable");
   emit_error(session.id, "journal_error",
              "journal: append failed; session '" + session.id +
                  "' is no longer durable",
              false);
+}
+
+void StreamService::journal_flush(StreamSession& session,
+                                  JournalRecordType type) {
+  journal_append(session, type, "");
+  if (!session.journal || session.journal_degraded) return;
+  const std::uint64_t sync_start = obs::trace_now_ns();
+  session.journal->sync();
+  record_span(session, current_trace_id(), obs::Stage::kJournalSync,
+              sync_start, obs::trace_now_ns());
 }
 
 void StreamService::handle_data(std::unique_lock<std::mutex>& lock,
@@ -611,36 +632,32 @@ void StreamService::handle_data(std::unique_lock<std::mutex>& lock,
   session.last_active = clock_ticks_;
   record_span(session, current_trace_id(), obs::Stage::kDemux, demux_start,
               obs::trace_now_ns());
-  // Journal records are appended *after* the mutation (accept may consume
-  // seqs for window solves — the record's seq snapshot must include them)
-  // and the session is re-found because accept_sample can block on
-  // backpressure and invalidate references.
+  // Journal records are appended *after* the mutation (accept may reserve
+  // a seq for a window solve — the record's seq snapshot must include it)
+  // but before that solve is submitted. The session is re-found because
+  // accept_sample can block on backpressure and invalidate references.
+  const auto accept_row = [&](const sim::PhaseSample& sample,
+                              JournalRecordType type,
+                              std::string_view record) {
+    std::shared_ptr<SolveRequest> window = accept_sample(lock, id, sample);
+    if (cfg_.journal != nullptr) {
+      const auto again = sessions_.find(id);
+      if (again != sessions_.end()) journal_append(again->second, type, record);
+    }
+    if (window) submit_request(std::move(window));
+  };
   if (line.json_sample) {
     std::string canonical;
     if (cfg_.journal != nullptr) {
       canonical = canonical_sample_line(*line.json_sample);
     }
-    accept_sample(lock, id, *line.json_sample);
-    if (cfg_.journal != nullptr) {
-      const auto again = sessions_.find(id);
-      if (again != sessions_.end()) {
-        journal_append(again->second, JournalRecordType::kJsonSample,
-                       canonical);
-      }
-    }
+    accept_row(*line.json_sample, JournalRecordType::kJsonSample, canonical);
     return;
   }
   const io::CsvStreamParser::Result row = session.csv.push_line(line.csv_row);
   switch (row.status) {
     case io::CsvRowStatus::kSample:
-      accept_sample(lock, id, row.sample);
-      if (cfg_.journal != nullptr) {
-        const auto again = sessions_.find(id);
-        if (again != sessions_.end()) {
-          journal_append(again->second, JournalRecordType::kCsvRow,
-                         line.csv_row);
-        }
-      }
+      accept_row(row.sample, JournalRecordType::kCsvRow, line.csv_row);
       break;
     case io::CsvRowStatus::kHeader:
     case io::CsvRowStatus::kSkipped:
@@ -655,15 +672,14 @@ void StreamService::handle_data(std::unique_lock<std::mutex>& lock,
   }
 }
 
-void StreamService::accept_sample(std::unique_lock<std::mutex>& lock,
-                                  const std::string& id,
-                                  const sim::PhaseSample& sample) {
+std::shared_ptr<StreamService::SolveRequest> StreamService::accept_sample(
+    std::unique_lock<std::mutex>& lock, const std::string& id,
+    const sim::PhaseSample& sample) {
   const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;
+  if (it == sessions_.end()) return nullptr;
   StreamSession& session = it->second;
   ++session.samples_accepted;
-  ++stats_.samples;
-  LION_OBS_COUNT("serve.samples", 1);
+  ++stats_[ServeCounter::kSamples];
 
   if (session.config.mode == SessionMode::kCalibrate) {
     if (session.buffer.size() >= cfg_.max_session_samples) {
@@ -672,21 +688,21 @@ void StreamService::accept_sample(std::unique_lock<std::mutex>& lock,
                      std::to_string(cfg_.max_session_samples) +
                      "; sample dropped (flush or close to solve)",
                  false);
-      return;
+      return nullptr;
     }
     session.buffer.push_back(sample);
-    return;
+    return nullptr;
   }
 
   session.window_buffer.push_back(sample);
   push_incremental(session, sample);
-  if (session.window_buffer.size() < session.config.window) return;
+  if (session.window_buffer.size() < session.config.window) return nullptr;
 
   // A window is complete: claim an in-flight slot (this may block and
   // invalidate `session`), then re-resolve and carve the window out.
   if (!wait_for_slot(lock, id)) {
     const auto again = sessions_.find(id);
-    if (again == sessions_.end()) return;  // evicted/closed while blocked
+    if (again == sessions_.end()) return nullptr;  // gone while blocked
     // Busy-reject mode: drop this window's solve but still slide, so a
     // saturated session keeps bounded memory and keeps making progress.
     StreamSession& busy = again->second;
@@ -697,10 +713,10 @@ void StreamService::accept_sample(std::unique_lock<std::mutex>& lock,
     retire_incremental(busy, hop);
     emit_error(id, "busy", "track window dropped: session at in-flight cap",
                false);
-    return;
+    return nullptr;
   }
   const auto again = sessions_.find(id);
-  if (again == sessions_.end()) return;
+  if (again == sessions_.end()) return nullptr;
   StreamSession& ready = again->second;
   SolveRequest request;
   request.session = id;
@@ -716,7 +732,7 @@ void StreamService::accept_sample(std::unique_lock<std::mutex>& lock,
   ready.window_buffer.erase(ready.window_buffer.begin(),
                             ready.window_buffer.begin() + hop);
   retire_incremental(ready, hop);
-  schedule(lock, std::move(request));
+  return reserve_request(std::move(request));
 }
 
 bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
@@ -765,47 +781,32 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
     // (the pipeline is deterministic, so it is the batch answer); any
     // other buffer schedules the full solve, whose completion installs
     // the session's next memo (and journals kCalAnchor) in run_request.
-    ++stats_.cal_flushes;
+    ++stats_[ServeCounter::kCalFlushes];
     const std::uint64_t solve_start = obs::trace_now_ns();
     if (session.memo.matches(session.buffer)) {
       record_span(session, current_trace_id(), obs::Stage::kServeSolve,
                   solve_start, obs::trace_now_ns());
-      ++stats_.cal_memo;
-      ++stats_.reports;
+      ++stats_[ServeCounter::kCalMemo];
+      ++stats_[ServeCounter::kReports];
       ++session.requests;
       const std::uint64_t seq = reserve_seq();
       std::string response =
           report_response(id, seq, session.memo.report_json, "memo");
-      // Same durability boundary as the scheduled path: the flush is
-      // journaled and fsynced before the ack leaves the service.
-      journal_append(session, JournalRecordType::kCalFlush, "");
-      if (session.journal && !session.journal_degraded) {
-        const std::uint64_t sync_start = obs::trace_now_ns();
-        session.journal->sync();
-        record_span(session, current_trace_id(), obs::Stage::kJournalSync,
-                    sync_start, obs::trace_now_ns());
-      }
+      journal_flush(session, JournalRecordType::kCalFlush);
       emit(seq, std::move(response), current_origin_);
       return true;
     }
-    ++stats_.cal_fallbacks;
+    ++stats_[ServeCounter::kCalFallbacks];
     SolveRequest request;
     request.session = id;
     request.mode = session.config.mode;
     request.config = session.config;
     request.samples = session.buffer;
     request.cal_flush = true;
-    schedule(lock, std::move(request));
-    // Flush is the client's durability boundary: journal it and force the
-    // batched fsync so an acked flush survives an OS crash, not just a
-    // process kill.
-    journal_append(session, JournalRecordType::kCalFlush, "");
-    if (session.journal && !session.journal_degraded) {
-      const std::uint64_t sync_start = obs::trace_now_ns();
-      session.journal->sync();
-      record_span(session, current_trace_id(), obs::Stage::kJournalSync,
-                  sync_start, obs::trace_now_ns());
-    }
+    std::shared_ptr<SolveRequest> pending =
+        reserve_request(std::move(request));
+    journal_flush(session, JournalRecordType::kCalFlush);
+    submit_request(std::move(pending));
     return true;
   }
   SolveRequest request;
@@ -818,17 +819,9 @@ bool StreamService::handle_flush(std::unique_lock<std::mutex>& lock,
   session.window_buffer.clear();
   if (session.incremental) session.incremental->clear();
   request.window_index = session.windows_scheduled++;
-  schedule(lock, std::move(request));
-  // Flush is the client's durability boundary: journal it and force the
-  // batched fsync so an acked flush survives an OS crash, not just a
-  // process kill.
-  journal_append(session, JournalRecordType::kFlush, "");
-  if (session.journal && !session.journal_degraded) {
-    const std::uint64_t sync_start = obs::trace_now_ns();
-    session.journal->sync();
-    record_span(session, current_trace_id(), obs::Stage::kJournalSync,
-                sync_start, obs::trace_now_ns());
-  }
+  std::shared_ptr<SolveRequest> pending = reserve_request(std::move(request));
+  journal_flush(session, JournalRecordType::kFlush);
+  submit_request(std::move(pending));
   return true;
 }
 
@@ -856,9 +849,8 @@ void StreamService::handle_pose_tick(std::unique_lock<std::mutex>& lock,
   if (tr.valid && !tr.fallback) {
     record_span(session, current_trace_id(), obs::Stage::kServeSolve,
                 tick_start, obs::trace_now_ns());
-    ++stats_.pose_ticks;
+    ++stats_[ServeCounter::kPoseTicks];
     ++session.requests;
-    LION_OBS_COUNT("serve.pose_ticks", 1);
     const std::uint64_t tick_index = session.ticks_emitted++;
     const std::uint64_t seq = reserve_seq();
     core::TrackFix fix;
@@ -877,8 +869,7 @@ void StreamService::handle_pose_tick(std::unique_lock<std::mutex>& lock,
     return;
   }
 
-  ++stats_.tick_fallbacks;
-  LION_OBS_COUNT("serve.tick_fallbacks", 1);
+  ++stats_[ServeCounter::kTickFallbacks];
   event(obs::Severity::kInfo, "tick_fallback", id,
         "residual gate routed pose tick to the full window solve",
         session.ticks_emitted);
@@ -904,8 +895,9 @@ void StreamService::handle_pose_tick(std::unique_lock<std::mutex>& lock,
   request.samples.assign(ready.window_buffer.begin(),
                          ready.window_buffer.end());
   request.window_index = ready.ticks_emitted++;
-  schedule(lock, std::move(request));
+  std::shared_ptr<SolveRequest> pending = reserve_request(std::move(request));
   journal_append(ready, JournalRecordType::kPoseTick, "");
+  submit_request(std::move(pending));
 }
 
 void StreamService::handle_close(std::unique_lock<std::mutex>& lock,
@@ -945,23 +937,19 @@ bool StreamService::wait_for_slot(std::unique_lock<std::mutex>& lock,
     if (it == sessions_.end()) return false;  // vanished while blocked
     if (it->second.in_flight < cfg_.max_inflight_per_session) return true;
     if (cfg_.reject_when_busy) {
-      ++stats_.rejected_busy;
-      LION_OBS_COUNT("serve.rejected_busy", 1);
+      ++stats_[ServeCounter::kRejectedBusy];
       return false;
     }
-    ++stats_.backpressure_waits;
-    LION_OBS_COUNT("serve.backpressure_waits", 1);
+    ++stats_[ServeCounter::kBackpressureWaits];
     cv_.wait(lock);
   }
 }
 
-void StreamService::schedule(std::unique_lock<std::mutex>& lock,
-                             SolveRequest request) {
-  (void)lock;  // held: seq reservation below is what orders responses
+std::shared_ptr<StreamService::SolveRequest> StreamService::reserve_request(
+    SolveRequest request) {
+  // The seq reserved here, under mu_, is what orders responses.
   request.seq = reserve_seq();
   request.origin = current_origin_;
-  request.enqueue_time = now();
-  request.enqueue_ns = obs::trace_now_ns();
   request.trace_id = current_trace_id();
   const auto it = sessions_.find(request.session);
   if (it != sessions_.end()) {
@@ -972,17 +960,21 @@ void StreamService::schedule(std::unique_lock<std::mutex>& lock,
   // Response accounting happens here, on the ingest thread, so stats are
   // deterministic: every scheduled request emits exactly one response.
   if (request.pose_tick) {
-    ++stats_.pose_ticks;
-    LION_OBS_COUNT("serve.pose_ticks", 1);
+    ++stats_[ServeCounter::kPoseTicks];
   } else if (request.mode == SessionMode::kCalibrate) {
-    ++stats_.reports;
+    ++stats_[ServeCounter::kReports];
   } else {
-    ++stats_.fixes;
+    ++stats_[ServeCounter::kFixes];
   }
-  LION_OBS_COUNT("serve.requests", 1);
+  ++stats_[ServeCounter::kRequests];
   LION_OBS_HIST("serve.queue_depth", obs::count_bounds(), outstanding_);
-  auto shared = std::make_shared<SolveRequest>(std::move(request));
-  pool_->submit([this, shared] { run_request(*shared); });
+  return std::make_shared<SolveRequest>(std::move(request));
+}
+
+void StreamService::submit_request(std::shared_ptr<SolveRequest> request) {
+  request->enqueue_time = now();
+  request->enqueue_ns = obs::trace_now_ns();
+  pool_->submit([this, request] { run_request(*request); });
 }
 
 void StreamService::run_request(SolveRequest& request) {
@@ -1063,17 +1055,11 @@ void StreamService::run_request(SolveRequest& request) {
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (timed_out) {
-      ++stats_.timeouts;
-      LION_OBS_COUNT("serve.timeouts", 1);
-    }
-    if (failed) {
-      ++stats_.errors;
-      LION_OBS_COUNT("serve.errors", 1);
-    }
+    if (timed_out) ++stats_[ServeCounter::kTimeouts];
+    if (failed) ++stats_[ServeCounter::kErrors];
     const auto it = sessions_.find(request.session);
     if (it != sessions_.end()) {
-      // Telemetry for the completed request: queue wait (schedule to
+      // Telemetry for the completed request: queue wait (submit to
       // worker pickup), the solve itself, and the session's RED series.
       StreamSession& session = it->second;
       if (request.cal_flush && cal_solved && !failed) {
@@ -1147,8 +1133,7 @@ void StreamService::evict_idle(std::unique_lock<std::mutex>& lock) {
     }
     sessions_.erase(id);
     clear_current(id);
-    ++stats_.evictions;
-    LION_OBS_COUNT("serve.evictions", 1);
+    ++stats_[ServeCounter::kEvictions];
   }
   cv_.notify_all();
 }
@@ -1157,36 +1142,17 @@ void StreamService::emit_stats_response() {
   const std::uint64_t seq = reserve_seq();
   std::string out = "{\"schema\":\"lion.stats.v1\",\"seq\":";
   out += std::to_string(seq);
-  const auto field = [&out](const char* name, std::uint64_t value) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  field("sessions", sessions_.size());
-  field("lines", stats_.lines);
-  field("samples", stats_.samples);
-  field("parse_errors", stats_.parse_errors);
-  field("reports", stats_.reports);
-  field("fixes", stats_.fixes);
-  field("errors", stats_.errors);
-  field("evictions", stats_.evictions);
-  field("backpressure_waits", stats_.backpressure_waits);
-  field("rejected_busy", stats_.rejected_busy);
-  field("timeouts", stats_.timeouts);
-  field("oversized", stats_.oversized);
-  field("pose_ticks", stats_.pose_ticks);
-  field("tick_fallbacks", stats_.tick_fallbacks);
-  field("cal_flushes", stats_.cal_flushes);
-  field("cal_memo", stats_.cal_memo);
-  field("cal_fallbacks", stats_.cal_fallbacks);
-  field("ticks", clock_ticks_);
+  append_field(out, "sessions", sessions_.size());
+  for (const ServeCounterSpec& spec : kServeCounters) {
+    if (spec.stats_v1) append_field(out, spec.name, stats_[spec.id]);
+  }
+  append_field(out, "ticks", clock_ticks_);
   if (cfg_.shard_count > 1) {
     // Sharded servers answer !stats once per shard; the annotation lets a
     // client aggregate the set (and tells it how many lines to expect).
     // Absent with one shard so the single-shard byte stream is unchanged.
-    field("shard", cfg_.shard_index);
-    field("shards", cfg_.shard_count);
+    append_field(out, "shard", cfg_.shard_index);
+    append_field(out, "shards", cfg_.shard_count);
   }
   out.push_back('}');
   emit(seq, std::move(out), current_origin_);
@@ -1220,23 +1186,11 @@ void StreamService::emit_oob(const std::string& line) {
 
 void StreamService::emit_health_response() {
   std::string out = "{\"schema\":\"lion.health.v1\"";
-  const auto field = [&out](const char* name, std::uint64_t value) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  field("sessions", sessions_.size());
-  field("outstanding", outstanding_);
-  field("lines", stats_.lines);
-  field("samples", stats_.samples);
-  field("errors", stats_.errors);
-  field("restores", stats_.restores);
-  field("pose_ticks", stats_.pose_ticks);
-  field("tick_fallbacks", stats_.tick_fallbacks);
-  field("cal_flushes", stats_.cal_flushes);
-  field("cal_memo", stats_.cal_memo);
-  field("cal_fallbacks", stats_.cal_fallbacks);
+  append_field(out, "sessions", sessions_.size());
+  append_field(out, "outstanding", outstanding_);
+  for (const ServeCounterSpec& spec : kServeCounters) {
+    append_field(out, spec.name, stats_[spec.id]);
+  }
   out += ",\"journal_enabled\":";
   out += cfg_.journal != nullptr ? "true" : "false";
   if (cfg_.journal != nullptr) {
@@ -1249,54 +1203,46 @@ void StreamService::emit_health_response() {
       if (session.journal_degraded) ++degraded;
     }
     const JournalStore::Stats js = cfg_.journal->stats();
-    field("journal_lag", lag);
-    field("journal_degraded", degraded);
-    field("journal_errors", stats_.journal_errors);
-    field("journal_recovered", js.scanned_sessions);
-    field("journal_torn", js.torn_tails);
-    field("journal_corrupt", js.corrupt_files);
-    field("journal_appends", js.appends);
-    field("journal_syncs", js.syncs);
-    field("journal_failures", js.failures);
+    append_field(out, "journal_lag", lag);
+    append_field(out, "journal_degraded", degraded);
+    append_field(out, "journal_recovered", js.scanned_sessions);
+    append_field(out, "journal_torn", js.torn_tails);
+    append_field(out, "journal_corrupt", js.corrupt_files);
+    append_field(out, "journal_appends", js.appends);
+    append_field(out, "journal_syncs", js.syncs);
+    append_field(out, "journal_failures", js.failures);
   }
-  field("rss_bytes", obs::process_rss_bytes());
-  field("open_fds", obs::process_open_fds());
-  field("ticks", clock_ticks_);
-  // Ops-plane extras: service age, how often the incremental tick path
-  // had to fall back (a rising ratio means the residual gate is tripping
-  // — the "why did my tick get slow" answer), and the deepest the reorder
-  // buffer has been (how far ahead workers ran of in-order release).
+  append_field(out, "rss_bytes", obs::process_rss_bytes());
+  append_field(out, "open_fds", obs::process_open_fds());
+  append_field(out, "ticks", clock_ticks_);
+  // Ops-plane extras: service age, how often ticks and calibrate flushes
+  // fell back to the full solve (a rising tick ratio means the residual
+  // gate is tripping — the "why did my tick get slow" answer), and the
+  // deepest the reorder buffer has been (how far ahead workers ran of
+  // in-order release).
   out += ",\"uptime_s\":";
   obs::append_json_number(out, uptime_s());
-  const std::uint64_t all_ticks = stats_.pose_ticks;
+  const FallbackRatios ratios = fallback_ratios(stats_);
   out += ",\"tick_fallback_ratio\":";
-  obs::append_json_number(
-      out, all_ticks == 0 ? 0.0
-                          : static_cast<double>(stats_.tick_fallbacks) /
-                                static_cast<double>(all_ticks));
-  // Same story for calibrate flushes: the share of `!flush` requests
-  // that found the buffer changed and paid for a full solve.
+  obs::append_json_number(out, ratios.tick);
   out += ",\"cal_fallback_ratio\":";
-  obs::append_json_number(
-      out, stats_.cal_flushes == 0
-               ? 0.0
-               : static_cast<double>(stats_.cal_fallbacks) /
-                     static_cast<double>(stats_.cal_flushes));
+  obs::append_json_number(out, ratios.cal);
   {
     // mu_ -> emit_mu_ is the designed lock order, so peeking at the
     // reorder high-water mark from here is safe.
     std::lock_guard<std::mutex> emit_lock(emit_mu_);
-    field("reorder_depth_hwm", reorder_hwm_);
+    append_field(out, "reorder_depth_hwm", reorder_hwm_);
   }
   if (cfg_.shard_count > 1) {
     // Per-shard ops view: which shard answered, and how deep its ingest
     // queue is right now / has ever been. Absent with one shard so the
     // single-shard byte stream is unchanged.
-    field("shard", cfg_.shard_index);
-    field("shards", cfg_.shard_count);
-    field("queue_depth", cfg_.queue_depth ? cfg_.queue_depth() : 0);
-    field("queue_hwm", cfg_.queue_hwm ? cfg_.queue_hwm() : 0);
-    field("queue_stalls", cfg_.queue_stalls ? cfg_.queue_stalls() : 0);
+    append_field(out, "shard", cfg_.shard_index);
+    append_field(out, "shards", cfg_.shard_count);
+    append_field(out, "queue_depth", cfg_.queue_depth ? cfg_.queue_depth() : 0);
+    append_field(out, "queue_hwm", cfg_.queue_hwm ? cfg_.queue_hwm() : 0);
+    append_field(out, "queue_stalls",
+                 cfg_.queue_stalls ? cfg_.queue_stalls() : 0);
   }
   out.push_back('}');
   emit_oob(out);
@@ -1370,11 +1316,6 @@ ServiceTelemetry StreamService::telemetry() const {
   out.stats.sessions = sessions_.size();
   out.stats.ticks = clock_ticks_;
   out.uptime_s = uptime_s();
-  out.shard = cfg_.shard_index;
-  out.shards = cfg_.shard_count;
-  out.queue_depth = cfg_.queue_depth ? cfg_.queue_depth() : 0;
-  out.queue_hwm = cfg_.queue_hwm ? cfg_.queue_hwm() : 0;
-  out.queue_stalls = cfg_.queue_stalls ? cfg_.queue_stalls() : 0;
   for (const auto& [id, session] : sessions_) {
     SessionTelemetry st;
     st.id = id;

@@ -75,6 +75,7 @@
 // consulted.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -143,46 +144,121 @@ struct ServiceConfig {
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
   /// Shard ingest-queue gauges, injected by the socket server so `!healthz`
-  /// and the telemetry snapshot can report queue depth/high-water/stall
-  /// counts without the service knowing about the queue. May be null.
+  /// can report queue depth/high-water/stall counts without the service
+  /// knowing about the queue (/metrics reads ShardGauges). May be null.
   std::function<std::uint64_t()> queue_depth;
   std::function<std::uint64_t()> queue_hwm;
   std::function<std::uint64_t()> queue_stalls;
 };
 
-/// Ingest/serve counters (snapshot; also exported as obs counters).
-struct ServeStats {
-  std::uint64_t lines = 0;           ///< wire lines processed
-  std::uint64_t samples = 0;         ///< read records accepted
-  std::uint64_t reports = 0;         ///< lion.report.v1 responses
-  std::uint64_t fixes = 0;           ///< lion.fix.v1 responses
-  std::uint64_t errors = 0;          ///< lion.error.v1 responses
-  std::uint64_t parse_errors = 0;    ///< subset of errors: bad input lines
-  std::uint64_t evictions = 0;       ///< idle sessions evicted
-  std::uint64_t backpressure_waits = 0;  ///< ingest blocked at the cap
-  std::uint64_t rejected_busy = 0;   ///< requests refused (reject mode)
-  std::uint64_t timeouts = 0;        ///< requests past their deadline
-  std::uint64_t oversized = 0;       ///< wire lines dropped for length
-  std::uint64_t restores = 0;        ///< sessions adopted from journals
-  std::uint64_t journal_errors = 0;  ///< sessions degraded by I/O failure
-  std::uint64_t pose_ticks = 0;      ///< lion.tick.v1 responses (both paths)
-  std::uint64_t tick_fallbacks = 0;  ///< pose ticks routed to the full solve
-  /// Calibrate flushes: cal_flushes = cal_memo + cal_fallbacks (memo
-  /// replays the last report; a fallback schedules the full solve).
-  /// /metrics renders these fields, so they have no registry twin: two
-  /// sources would print each family twice.
-  std::uint64_t cal_flushes = 0;
-  std::uint64_t cal_memo = 0;
-  std::uint64_t cal_fallbacks = 0;
-  std::uint64_t ticks = 0;           ///< virtual clock now
-  std::size_t sessions = 0;          ///< live sessions
+/// Every serve counter, declared once (an enum plus a constexpr spec
+/// table, like obs::Stage): ServeStats keeps one slot per entry, and
+/// `!stats`, `!healthz` and `/metrics` each render kServeCounters with
+/// one loop.
+enum class ServeCounter : std::size_t {
+  kLines,               ///< wire lines processed
+  kSamples,             ///< read records accepted
+  kParseErrors,         ///< subset of errors: bad input lines
+  kReports,             ///< lion.report.v1 responses
+  kFixes,               ///< lion.fix.v1 responses
+  kErrors,              ///< lion.error.v1 responses
+  kEvictions,           ///< idle sessions evicted
+  kBackpressureWaits,   ///< ingest blocked at the in-flight cap
+  kRejectedBusy,        ///< requests refused at the cap (reject mode)
+  kTimeouts,            ///< requests past their deadline
+  kOversized,           ///< wire lines dropped for length
+  kPoseTicks,           ///< lion.tick.v1 responses (both paths)
+  kTickFallbacks,       ///< pose ticks routed to the full window solve
+  kCalFlushes,          ///< calibrate flushes = cal_memo + cal_fallbacks
+  kCalMemo,             ///< flushes answered from the last full solve
+  kCalFallbacks,        ///< flushes that scheduled the full solve
+  kRestores,            ///< sessions adopted from journals
+  kJournalErrors,       ///< sessions degraded by journal I/O failure
+  kRequests,            ///< solves scheduled on the pool
+  kClockAdvances,       ///< virtual-clock ticks added by `!tick N`
+  kReplaySolves,        ///< restores that re-solved the calibrate memo
+  kReplayMemoRestores,  ///< restores that installed the journaled memo
+  kReplayMemoFailures,  ///< restores whose memo rebuild threw
+  kCount
 };
+
+inline constexpr std::size_t kServeCounterCount =
+    static_cast<std::size_t>(ServeCounter::kCount);
+
+/// `name` is the wire field on `!stats`/`!healthz` and the /metrics
+/// family lion_serve_<name>_total. `stats_v1` marks the frozen
+/// lion.stats.v1 fields, which `!stats` prints in table order.
+struct ServeCounterSpec {
+  ServeCounter id;
+  const char* name;
+  bool stats_v1;
+};
+
+inline constexpr std::array<ServeCounterSpec, kServeCounterCount>
+    kServeCounters = {{
+        {ServeCounter::kLines, "lines", true},
+        {ServeCounter::kSamples, "samples", true},
+        {ServeCounter::kParseErrors, "parse_errors", true},
+        {ServeCounter::kReports, "reports", true},
+        {ServeCounter::kFixes, "fixes", true},
+        {ServeCounter::kErrors, "errors", true},
+        {ServeCounter::kEvictions, "evictions", true},
+        {ServeCounter::kBackpressureWaits, "backpressure_waits", true},
+        {ServeCounter::kRejectedBusy, "rejected_busy", true},
+        {ServeCounter::kTimeouts, "timeouts", true},
+        {ServeCounter::kOversized, "oversized", true},
+        {ServeCounter::kPoseTicks, "pose_ticks", true},
+        {ServeCounter::kTickFallbacks, "tick_fallbacks", true},
+        {ServeCounter::kCalFlushes, "cal_flushes", true},
+        {ServeCounter::kCalMemo, "cal_memo", true},
+        {ServeCounter::kCalFallbacks, "cal_fallbacks", true},
+        {ServeCounter::kRestores, "restores", false},
+        {ServeCounter::kJournalErrors, "journal_errors", false},
+        {ServeCounter::kRequests, "requests", false},
+        {ServeCounter::kClockAdvances, "clock_advances", false},
+        {ServeCounter::kReplaySolves, "replay_solves", false},
+        {ServeCounter::kReplayMemoRestores, "replay_memo_restores", false},
+        {ServeCounter::kReplayMemoFailures, "replay_memo_failures", false},
+    }};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < kServeCounterCount; ++i) {
+        if (static_cast<std::size_t>(kServeCounters[i].id) != i) return false;
+      }
+      return true;
+    }(),
+    "kServeCounters must list ServeCounter in enum order");
+
+/// Serve counter snapshot: one slot per kServeCounters entry, plus the
+/// two gauges.
+struct ServeStats {
+  std::array<std::uint64_t, kServeCounterCount> counters{};
+  std::uint64_t ticks = 0;   ///< virtual clock now
+  std::size_t sessions = 0;  ///< live sessions
+
+  std::uint64_t& operator[](ServeCounter c) {
+    return counters[static_cast<std::size_t>(c)];
+  }
+  std::uint64_t operator[](ServeCounter c) const {
+    return counters[static_cast<std::size_t>(c)];
+  }
+};
+
+/// The share of pose ticks the residual gate routed to the full window
+/// solve, and of calibrate flushes that found the buffer changed (0
+/// before any). `!healthz` and `/metrics` both print these.
+struct FallbackRatios {
+  double tick = 0.0;
+  double cal = 0.0;
+};
+FallbackRatios fallback_ratios(const ServeStats& stats);
 
 /// Per-session RED snapshot for the telemetry plane (/metrics, lion_top).
 struct SessionTelemetry {
   std::string id;
   bool track = false;
-  std::size_t in_flight = 0;
+  std::uint64_t in_flight = 0;
   std::uint64_t samples = 0;
   std::uint64_t flushes = 0;
   std::uint64_t requests = 0;        ///< solves scheduled (rate)
@@ -199,13 +275,6 @@ struct ServiceTelemetry {
   std::uint64_t reorder_hwm = 0;     ///< reorder-buffer depth high water
   std::uint64_t journal_lag = 0;     ///< appended-not-fsynced records
   std::uint64_t journal_degraded = 0;
-  /// Shard identity and ingest-queue gauges (sharded socket server; zero
-  /// and 1 for plain stdio/per-test services).
-  std::size_t shard = 0;
-  std::size_t shards = 1;
-  std::uint64_t queue_depth = 0;
-  std::uint64_t queue_hwm = 0;
-  std::uint64_t queue_stalls = 0;
   std::vector<SessionTelemetry> sessions;  ///< id-sorted (map order)
 };
 
@@ -308,13 +377,14 @@ class StreamService {
     bool cal_flush = false;
     double enqueue_time = 0.0;
     std::uint64_t trace_id = 0;    ///< the ingest line that scheduled this
-    std::uint64_t enqueue_ns = 0;  ///< trace clock at schedule() time
+    std::uint64_t enqueue_ns = 0;  ///< trace clock at submit time
     std::uint64_t origin = 0;      ///< connection the response routes to
   };
 
-  // The handle_* / accept_sample / schedule family runs on the ingest
-  // thread with `lock` holding mu_; paths that can block (backpressure)
-  // release and reacquire it, so session references never survive a call.
+  // The handle_* / accept_sample / reserve_request family runs on the
+  // ingest thread with `lock` holding mu_; paths that can block
+  // (backpressure) release and reacquire it, so session references never
+  // survive a call.
   void handle_line(const ParsedLine& line, std::uint64_t origin);
   void handle_session_declare(std::unique_lock<std::mutex>& lock,
                               const ParsedLine& line);
@@ -330,14 +400,24 @@ class StreamService {
   void handle_close(std::unique_lock<std::mutex>& lock, const std::string& id);
   void emit_stats_response();
   void emit_trace_response(const std::string& id);
-  void accept_sample(std::unique_lock<std::mutex>& lock, const std::string& id,
-                     const sim::PhaseSample& sample);
+  /// Returns the window solve the sample completed, reserved but not yet
+  /// submitted (the caller journals the sample first), or null.
+  std::shared_ptr<SolveRequest> accept_sample(
+      std::unique_lock<std::mutex>& lock, const std::string& id,
+      const sim::PhaseSample& sample);
   void report_oversized(std::size_t count);  ///< origin-0 decoder path
   /// Reserve-or-reject at the in-flight cap; returns false when the
   /// request was rejected (busy) or the session vanished while blocked.
   bool wait_for_slot(std::unique_lock<std::mutex>& lock,
                      const std::string& id);
-  void schedule(std::unique_lock<std::mutex>& lock, SolveRequest request);
+  /// Scheduling, step one: reserve the response's seq and do the
+  /// accounting. The caller then journals the record that asked for the
+  /// solve, so the record carries the clock/seq stamp it always carried,
+  /// and only then hands the request to submit_request(): no worker can
+  /// answer before the record exists. Callers hold mu_.
+  std::shared_ptr<SolveRequest> reserve_request(SolveRequest request);
+  /// Step two: stamp the enqueue time and hand the request to the pool.
+  void submit_request(std::shared_ptr<SolveRequest> request);
   void run_request(SolveRequest& request);
   void evict_idle(std::unique_lock<std::mutex>& lock);
   std::uint64_t reserve_seq();  ///< callers hold mu_
@@ -405,6 +485,10 @@ class StreamService {
   /// (once, with an error response) on I/O failure. Callers hold mu_.
   void journal_append(StreamSession& session, JournalRecordType type,
                       std::string_view line);
+  /// Journal a flush boundary and fsync it: a flush is the client's
+  /// durability boundary, so its record must survive an OS crash, not
+  /// just a process kill, before the answer can leave.
+  void journal_flush(StreamSession& session, JournalRecordType type);
   /// Seal (sync) and detach every live session's journal — service
   /// teardown without close. Called by the destructor.
   void detach_journals();

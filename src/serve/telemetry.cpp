@@ -81,29 +81,13 @@ void append_session_histogram(std::string& out, const std::string& family,
   }
 }
 
-void append_session_counter(
-    std::string& out, const std::string& family,
-    const std::vector<ServiceTelemetry>& services,
-    const std::function<double(const SessionTelemetry&)>& get,
-    const char* type = "counter") {
-  bool first = true;
-  for (const ServiceTelemetry& svc : services) {
-    for (const SessionTelemetry& s : svc.sessions) {
-      obs::append_prometheus_sample(
-          out, family, "session=\"" + obs::prometheus_label_escape(s.id) + "\"",
-          get(s), first ? type : "");
-      first = false;
-    }
-  }
-}
-
 }  // namespace
 
 std::string render_metrics_body(const std::vector<ServiceTelemetry>& services,
                                 const obs::EventLog* events,
                                 const std::vector<ShardGauges>& shards,
                                 std::int64_t connections) {
-  // 1. The process-wide registry (stage histograms, serve.* counters).
+  // 1. The process-wide registry (stage histograms, pipeline counters).
   std::string out =
       obs::prometheus_render(obs::MetricsRegistry::instance().snapshot());
 
@@ -115,59 +99,50 @@ std::string render_metrics_body(const std::vector<ServiceTelemetry>& services,
       out, "lion_process_open_fds", "",
       static_cast<double>(obs::process_open_fds()), "gauge");
 
-  // 3. Aggregate serve gauges across every live connection's service.
-  double sessions = 0, reorder_hwm = 0, journal_lag = 0, journal_degraded = 0;
-  double restores = 0, tick_fallbacks = 0, pose_ticks = 0;
-  double cal_flushes = 0, cal_memo = 0, cal_fallbacks = 0;
+  // 3. The serve counter table, each counter summed over every live
+  //    service, then the aggregate serve gauges.
+  ServeStats total;
+  double reorder_hwm = 0, journal_lag = 0, journal_degraded = 0;
   for (const ServiceTelemetry& svc : services) {
-    sessions += static_cast<double>(svc.stats.sessions);
+    for (std::size_t i = 0; i < kServeCounterCount; ++i) {
+      total.counters[i] += svc.stats.counters[i];
+    }
+    total.sessions += svc.stats.sessions;
     reorder_hwm = std::max(reorder_hwm, static_cast<double>(svc.reorder_hwm));
     journal_lag += static_cast<double>(svc.journal_lag);
     journal_degraded += static_cast<double>(svc.journal_degraded);
-    restores += static_cast<double>(svc.stats.restores);
-    tick_fallbacks += static_cast<double>(svc.stats.tick_fallbacks);
-    pose_ticks += static_cast<double>(svc.stats.pose_ticks);
-    cal_flushes += static_cast<double>(svc.stats.cal_flushes);
-    cal_memo += static_cast<double>(svc.stats.cal_memo);
-    cal_fallbacks += static_cast<double>(svc.stats.cal_fallbacks);
   }
-  obs::append_prometheus_sample(out, "lion_serve_live_sessions", "", sessions,
-                                "gauge");
+  for (const ServeCounterSpec& spec : kServeCounters) {
+    obs::append_prometheus_sample(
+        out, std::string("lion_serve_") + spec.name + "_total", "",
+        static_cast<double>(total[spec.id]), "counter");
+  }
+  obs::append_prometheus_sample(out, "lion_serve_live_sessions", "",
+                                static_cast<double>(total.sessions), "gauge");
   obs::append_prometheus_sample(
       out, "lion_serve_connections", "",
       static_cast<double>(connections >= 0
                               ? connections
                               : static_cast<std::int64_t>(services.size())),
       "gauge");
-  if (!shards.empty()) {
-    // Per-shard ingest-queue series, from the lock-free gauge mirrors: a
-    // shard wedged by a slow consumer still reports its depth here.
-    const auto shard_label = [](const ShardGauges& g) {
-      return "shard=\"" + std::to_string(g.shard) + "\"";
-    };
-    bool first = true;
+  // Per-shard ingest-queue series, from the lock-free gauge mirrors: a
+  // shard wedged by a slow consumer still reports its depth here.
+  const struct {
+    const char* family;
+    const char* type;
+    std::uint64_t ShardGauges::*value;
+  } shard_series[] = {
+      {"lion_shard_queue_depth", "gauge", &ShardGauges::queue_depth},
+      {"lion_shard_queue_hwm", "gauge", &ShardGauges::queue_hwm},
+      {"lion_shard_queue_stalls_total", "counter", &ShardGauges::queue_stalls},
+  };
+  for (const auto& series : shard_series) {
+    const char* type = series.type;  // on the family's first sample only
     for (const ShardGauges& g : shards) {
-      obs::append_prometheus_sample(out, "lion_shard_queue_depth",
-                                    shard_label(g),
-                                    static_cast<double>(g.queue_depth),
-                                    first ? "gauge" : "");
-      first = false;
-    }
-    first = true;
-    for (const ShardGauges& g : shards) {
-      obs::append_prometheus_sample(out, "lion_shard_queue_hwm",
-                                    shard_label(g),
-                                    static_cast<double>(g.queue_hwm),
-                                    first ? "gauge" : "");
-      first = false;
-    }
-    first = true;
-    for (const ShardGauges& g : shards) {
-      obs::append_prometheus_sample(out, "lion_shard_queue_stalls_total",
-                                    shard_label(g),
-                                    static_cast<double>(g.queue_stalls),
-                                    first ? "counter" : "");
-      first = false;
+      obs::append_prometheus_sample(
+          out, series.family, "shard=\"" + std::to_string(g.shard) + "\"",
+          static_cast<double>(g.*series.value), type);
+      type = "";
     }
   }
   obs::append_prometheus_sample(out, "lion_serve_reorder_depth_hwm", "",
@@ -176,46 +151,38 @@ std::string render_metrics_body(const std::vector<ServiceTelemetry>& services,
                                 journal_lag, "gauge");
   obs::append_prometheus_sample(out, "lion_serve_journal_degraded_sessions",
                                 "", journal_degraded, "gauge");
-  obs::append_prometheus_sample(out, "lion_serve_restores", "", restores,
-                                "gauge");
-  obs::append_prometheus_sample(
-      out, "lion_serve_tick_fallback_ratio", "",
-      pose_ticks == 0.0 ? 0.0 : tick_fallbacks / pose_ticks, "gauge");
-  // Calibrate-flush split: memo replays vs full solves.
-  obs::append_prometheus_sample(out, "lion_serve_cal_flushes_total", "",
-                                cal_flushes, "counter");
-  obs::append_prometheus_sample(out, "lion_serve_cal_memo_total", "",
-                                cal_memo, "counter");
-  obs::append_prometheus_sample(out, "lion_serve_cal_fallbacks_total", "",
-                                cal_fallbacks, "counter");
-  obs::append_prometheus_sample(
-      out, "lion_serve_cal_fallback_ratio", "",
-      cal_flushes == 0.0 ? 0.0 : cal_fallbacks / cal_flushes, "gauge");
+  const FallbackRatios ratios = fallback_ratios(total);
+  obs::append_prometheus_sample(out, "lion_serve_tick_fallback_ratio", "",
+                                ratios.tick, "gauge");
+  obs::append_prometheus_sample(out, "lion_serve_cal_fallback_ratio", "",
+                                ratios.cal, "gauge");
 
   // 4. Per-session RED series.
   if (!services.empty()) {
-    append_session_counter(out, "lion_session_requests_total", services,
-                           [](const SessionTelemetry& s) {
-                             return static_cast<double>(s.requests);
-                           });
-    append_session_counter(out, "lion_session_errors_total", services,
-                           [](const SessionTelemetry& s) {
-                             return static_cast<double>(s.errors);
-                           });
-    append_session_counter(out, "lion_session_samples_total", services,
-                           [](const SessionTelemetry& s) {
-                             return static_cast<double>(s.samples);
-                           });
-    append_session_counter(out, "lion_session_pose_ticks_total", services,
-                           [](const SessionTelemetry& s) {
-                             return static_cast<double>(s.pose_ticks);
-                           });
-    append_session_counter(
-        out, "lion_session_in_flight", services,
-        [](const SessionTelemetry& s) {
-          return static_cast<double>(s.in_flight);
-        },
-        "gauge");
+    const struct {
+      const char* family;
+      const char* type;
+      std::uint64_t SessionTelemetry::*value;
+    } session_series[] = {
+        {"lion_session_requests_total", "counter", &SessionTelemetry::requests},
+        {"lion_session_errors_total", "counter", &SessionTelemetry::errors},
+        {"lion_session_samples_total", "counter", &SessionTelemetry::samples},
+        {"lion_session_pose_ticks_total", "counter",
+         &SessionTelemetry::pose_ticks},
+        {"lion_session_in_flight", "gauge", &SessionTelemetry::in_flight},
+    };
+    for (const auto& series : session_series) {
+      const char* type = series.type;  // on the family's first sample only
+      for (const ServiceTelemetry& svc : services) {
+        for (const SessionTelemetry& s : svc.sessions) {
+          obs::append_prometheus_sample(
+              out, series.family,
+              "session=\"" + obs::prometheus_label_escape(s.id) + "\"",
+              static_cast<double>(s.*series.value), type);
+          type = "";
+        }
+      }
+    }
     append_session_histogram(out, "lion_session_solve_seconds", services);
   }
 

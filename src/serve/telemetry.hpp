@@ -2,9 +2,10 @@
 // renders the process's telemetry as Prometheus text exposition.
 //
 //   GET /metrics   text/plain 0.0.4: the obs::MetricsRegistry snapshot,
-//                  process RSS/fd gauges, event-log counters, aggregate
-//                  serve gauges, and per-session RED series (labelled
-//                  {session="<id>"}).
+//                  process RSS/fd gauges, the serve counter table
+//                  (kServeCounters) summed over services, aggregate serve
+//                  gauges, event-log counters, and per-session RED series
+//                  (labelled {session="<id>"}).
 //   GET /healthz   application/json liveness probe: status, uptime,
 //                  connection/session counts.
 //

@@ -73,10 +73,11 @@ TEST(Concurrency, ManyProducersManySessions) {
   service.finish();
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.samples,
+  EXPECT_EQ(stats[ServeCounter::kSamples],
             static_cast<std::uint64_t>(kProducers * kRowsPerProducer));
-  EXPECT_EQ(stats.parse_errors, 0u);
-  EXPECT_EQ(stats.reports, static_cast<std::uint64_t>(kSessions));
+  EXPECT_EQ(stats[ServeCounter::kParseErrors], 0u);
+  EXPECT_EQ(stats[ServeCounter::kReports],
+            static_cast<std::uint64_t>(kSessions));
 
   // Exactly one report per session, seqs strictly increasing, and every
   // line is a complete JSON object (the sink is serialized).
@@ -120,8 +121,8 @@ TEST(Concurrency, BackpressureBlocksLosslesslyAtInflightOne) {
     EXPECT_NE(line.find("\"schema\":\"lion.report.v1\""), std::string::npos)
         << line;
   }
-  EXPECT_GT(service.stats().backpressure_waits, 0u);
-  EXPECT_EQ(service.stats().rejected_busy, 0u);
+  EXPECT_GT(service.stats()[ServeCounter::kBackpressureWaits], 0u);
+  EXPECT_EQ(service.stats()[ServeCounter::kRejectedBusy], 0u);
 }
 
 TEST(Concurrency, SharedPoolAcrossServices) {

@@ -227,12 +227,11 @@ TEST_F(FanoutServe, RestoreInstallsTheJournaledMemoWhateverTheFlushHistory) {
       EXPECT_GE(anchors, flushes > 1 ? 2u : 1u);
     }
     Daemon p2(dir.path);
-    const std::uint64_t solves = counter("serve.replay_solves");
-    const std::uint64_t installs = counter("serve.replay_memo_restores");
     p2.service->ingest_line(kDeclare);
     EXPECT_TRUE(has_restore_ack(p2.output()));
-    EXPECT_EQ(counter("serve.replay_solves") - solves, 0u);
-    EXPECT_EQ(counter("serve.replay_memo_restores") - installs, 1u);
+    const ServeStats stats = p2.service->stats();
+    EXPECT_EQ(stats[ServeCounter::kReplaySolves], 0u);
+    EXPECT_EQ(stats[ServeCounter::kReplayMemoRestores], 1u);
     p2.feed({"!flush cal"});
     const auto got = reports(p2.output());
     ASSERT_EQ(got.size(), 1u);

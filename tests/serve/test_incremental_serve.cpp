@@ -279,8 +279,8 @@ TEST(IncrementalServe, TickOnUnknownOrCalibrateSessionErrors) {
       << cap.lines[1];
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.pose_ticks, 0u);
-  EXPECT_EQ(stats.errors, 2u);
+  EXPECT_EQ(stats[ServeCounter::kPoseTicks], 0u);
+  EXPECT_EQ(stats[ServeCounter::kErrors], 2u);
 }
 
 TEST(IncrementalServe, StatsCountBothTickPaths) {
@@ -294,8 +294,8 @@ TEST(IncrementalServe, StatsCountBothTickPaths) {
   service.finish();
 
   const auto stats = service.stats();
-  EXPECT_EQ(stats.pose_ticks, 2u);
-  EXPECT_EQ(stats.tick_fallbacks, 1u);
+  EXPECT_EQ(stats[ServeCounter::kPoseTicks], 2u);
+  EXPECT_EQ(stats[ServeCounter::kTickFallbacks], 1u);
   bool saw_stats = false;
   for (const auto& line : cap.lines) {
     if (line.find("\"schema\":\"lion.stats.v1\"") == std::string::npos) {
@@ -338,7 +338,7 @@ TEST(IncrementalServe, EvictionDestroysIncrementalState) {
   service.ingest_line("!tick 100");  // idle the session past the TTL
   service.ingest_line("# sweep");    // any line runs the eviction sweep
   service.drain();
-  EXPECT_EQ(service.stats().evictions, 1u);
+  EXPECT_EQ(service.stats()[ServeCounter::kEvictions], 1u);
 
   // Re-declare: the session must come back with *fresh* incremental
   // state — few samples, so the tick takes the fallback path and matches

@@ -214,7 +214,7 @@ TEST(MalformedWire, RandomBytesThroughServiceNeverCrash) {
         << line;
   }
   const auto stats = service.stats();
-  EXPECT_EQ(stats.errors, lines.size());
+  EXPECT_EQ(stats[serve::ServeCounter::kErrors], lines.size());
 
   // The stream resyncs: a valid session + flush still works afterwards.
   std::size_t before = lines.size();
@@ -243,7 +243,7 @@ TEST(MalformedWire, OversizedLinesAreCountedAndDropped) {
     }
   }
   service.finish();
-  EXPECT_EQ(service.stats().oversized, oversized_sent);
+  EXPECT_EQ(service.stats()[serve::ServeCounter::kOversized], oversized_sent);
   std::size_t oversized_errors = 0;
   for (const auto& line : lines) {
     if (line.find("\"code\":\"oversized_line\"") != std::string::npos) {

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -29,8 +30,6 @@
 #include "io/csv.hpp"
 #include "io/report_json.hpp"
 #include "obs/events.hpp"
-#include "obs/metrics.hpp"
-#include "obs/obs.hpp"
 #include "rf/phase_model.hpp"
 #include "serve/journal.hpp"
 #include "serve/service.hpp"
@@ -580,10 +579,71 @@ TEST(Recovery, RestoreRebuildsIncrementalStateForPostCrashTicks) {
   ASSERT_EQ(combined, baseline);
 }
 
+/// The responding session's journal as the sink saw it when one
+/// sequenced response arrived: record counts by type, and the store's
+/// fsync count.
+struct EmitSnapshot {
+  std::string line;
+  bool journal_gone = false;  ///< removed by a completed `!close`
+  std::map<serve::JournalRecordType, std::size_t> on_disk;
+  std::uint64_t syncs = 0;
+
+  std::size_t count(serve::JournalRecordType type) const {
+    const auto it = on_disk.find(type);
+    return it == on_disk.end() ? 0 : it->second;
+  }
+};
+
+/// Sink that snapshots the journal of every report, fix and tick line's
+/// session at the moment the line is emitted (DESIGN §12.3: the record,
+/// and for a flush its fsync, must precede the answer).
+struct JournalProbe {
+  explicit JournalProbe(const serve::JournalStore& store) : store(store) {}
+
+  void operator()(std::string_view view) {
+    const std::string line(view);
+    if (line.find("\"schema\":\"lion.report.v1\"") == std::string::npos &&
+        line.find("\"schema\":\"lion.fix.v1\"") == std::string::npos &&
+        line.find("\"schema\":\"lion.tick.v1\"") == std::string::npos) {
+      return;
+    }
+    EmitSnapshot snap;
+    snap.line = line;
+    // Read the fsync count first: a sync it counts wrote no later than
+    // the bytes read below.
+    snap.syncs = store.stats().syncs;
+    const std::string key = "\"session\":\"";
+    const auto at = line.find(key) + key.size();
+    const std::string path =
+        store.path_for(line.substr(at, line.find('"', at) - at));
+    std::ifstream f(path, std::ios::binary);
+    snap.journal_gone = !f.good();
+    std::ostringstream ss;
+    ss << f.rdbuf();
+    const std::string bytes = ss.str();
+    if (bytes.size() >= sizeof serve::kJournalMagic) {
+      const auto decoded = serve::decode_journal_records(
+          std::string_view(bytes).substr(sizeof serve::kJournalMagic));
+      for (const auto& r : decoded.records) ++snap.on_disk[r.type];
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    snaps.push_back(std::move(snap));
+  }
+
+  std::vector<EmitSnapshot> taken() {
+    std::lock_guard<std::mutex> lock(mu);
+    return snaps;
+  }
+
+  const serve::JournalStore& store;
+  std::mutex mu;
+  std::vector<EmitSnapshot> snaps;
+};
+
 // An incremental pose tick is journaled before it is emitted, like every
-// other mutation (DESIGN §12.3): the sink re-reads the session's journal
-// as each incremental tick line arrives, and that tick's kPoseTick record
-// (with every earlier tick's) must already be on disk.
+// other mutation (DESIGN §12.3): as each incremental tick line arrives,
+// that tick's kPoseTick record (with every earlier tick's) must already
+// be on disk.
 TEST(Recovery, IncrementalTickIsJournaledBeforeItIsEmitted) {
   TempDir tmp;
   serve::JournalStoreConfig jcfg;
@@ -591,41 +651,114 @@ TEST(Recovery, IncrementalTickIsJournaledBeforeItIsEmitted) {
   jcfg.fsync_every = 8;
   serve::JournalStore store(jcfg);
   ASSERT_TRUE(store.ok()) << store.error();
-  const std::string path = store.path_for("belt");
 
-  std::mutex mu;
-  std::size_t checked = 0;
-  std::vector<std::string> early;
+  JournalProbe probe(store);
   serve::ServiceConfig cfg;
   cfg.threads = 2;
   cfg.journal = &store;
-  serve::StreamService service(cfg, [&](std::string_view view) {
-    const std::string line(view);
-    if (line.find("\"schema\":\"lion.tick.v1\"") == std::string::npos ||
-        line.find("\"source\":\"incremental\"") == std::string::npos) {
-      return;
-    }
-    const std::string bytes = read_file(path);
-    std::size_t on_disk = 0;
-    if (bytes.size() >= sizeof serve::kJournalMagic) {
-      const auto decoded = serve::decode_journal_records(
-          std::string_view(bytes).substr(sizeof serve::kJournalMagic));
-      for (const auto& r : decoded.records) {
-        on_disk += r.type == serve::JournalRecordType::kPoseTick;
-      }
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    ++checked;
-    if (on_disk < uint_field(line, "tick") + 1) early.push_back(line);
-  });
+  serve::StreamService service(
+      cfg, [&probe](std::string_view line) { probe(line); });
   for (const auto& l : build_tick_input(160, 10)) service.ingest_line(l);
   service.drain();
 
-  std::lock_guard<std::mutex> lock(mu);
+  std::size_t checked = 0;
+  std::vector<std::string> early;
+  for (const auto& s : probe.taken()) {
+    if (s.line.find("\"source\":\"incremental\"") == std::string::npos) {
+      continue;
+    }
+    ++checked;
+    if (s.count(serve::JournalRecordType::kPoseTick) <
+        uint_field(s.line, "tick") + 1) {
+      early.push_back(s.line);
+    }
+  }
   EXPECT_GT(checked, 5u) << "scenario never reached the incremental path";
   EXPECT_TRUE(early.empty()) << early.size() << " of " << checked
                              << " incremental ticks were emitted before "
                                 "their kPoseTick record, first: "
+                             << (early.empty() ? "" : early.front());
+}
+
+// Every answer a pool worker emits is journaled before the ingest thread
+// submits it: fallback ticks, track window fixes, scheduled calibrate and
+// track flushes, and `!close`. A flush's record is also fsynced first. A
+// nanosecond deadline makes each worker answer without solving, as fast
+// as it can, so an append or fsync left until after the submit shows up
+// here as an answer the sink saw first.
+TEST(Recovery, EveryScheduledAnswerIsJournaledBeforeItIsEmitted) {
+  TempDir tmp;
+  serve::JournalStoreConfig jcfg;
+  jcfg.dir = tmp.path;
+  jcfg.fsync_every = std::size_t{1} << 30;  // only flush boundaries fsync
+  serve::JournalStore store(jcfg);
+  ASSERT_TRUE(store.ok()) << store.error();
+
+  JournalProbe probe(store);
+  serve::ServiceConfig cfg;
+  cfg.threads = 2;
+  cfg.journal = &store;
+  cfg.request_timeout_s = 1e-9;
+  cfg.max_inflight_per_session = 64;
+  serve::StreamService service(
+      cfg, [&probe](std::string_view line) { probe(line); });
+
+  // Track session: window=64 hop=32 over 160 rows completes windows 0-3;
+  // the flush answers window 4 and the close window 5.
+  for (const auto& l : build_tick_input(160, 10)) service.ingest_line(l);
+  service.ingest_line("!flush belt");
+  service.ingest_line("!close belt");
+  // Calibrate session: every flush finds new rows, so each one schedules
+  // the full solve; the close schedules one more.
+  constexpr std::size_t kCalFlushes = 24;
+  service.ingest_line("!session cal center=0,0.8,0");
+  const auto rows = synthetic_rows(4 * kCalFlushes);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    service.ingest_line(rows[i]);
+    if (i % 4 == 3) service.ingest_line("!flush cal");
+  }
+  service.ingest_line("!close cal");
+  service.drain();
+
+  using T = serve::JournalRecordType;
+  std::size_t flushes = 0, reports = 0, fixes = 0, ticks = 0,
+              fallback_ticks = 0;
+  std::vector<std::string> early;
+  for (const auto& s : probe.taken()) {
+    bool ok = true;
+    if (s.line.find("\"schema\":\"lion.tick.v1\"") != std::string::npos) {
+      ++ticks;
+      fallback_ticks +=
+          s.line.find("\"source\":\"fallback\"") != std::string::npos;
+      ok = s.journal_gone ||
+           s.count(T::kPoseTick) >= uint_field(s.line, "tick") + 1;
+    } else if (s.line.find("\"schema\":\"lion.fix.v1\"") !=
+               std::string::npos) {
+      ++fixes;
+      const std::uint64_t window = uint_field(s.line, "window");
+      if (window < 4) {
+        ok = s.journal_gone || s.count(T::kJsonSample) >= 64 + 32 * window;
+      } else {
+        ++flushes;
+        ok = s.journal_gone ||
+             (s.count(T::kFlush) >= window - 3 && s.syncs >= flushes);
+      }
+    } else {
+      ++reports;
+      ++flushes;
+      ok = s.journal_gone ||
+           (s.count(T::kCalFlush) >= reports && s.syncs >= flushes);
+    }
+    if (!ok) early.push_back(s.line);
+  }
+  EXPECT_EQ(reports, kCalFlushes + 1);
+  EXPECT_EQ(fixes, 6u);
+  EXPECT_EQ(ticks, 16u);
+  EXPECT_GT(fallback_ticks, 0u) << "scenario never reached a fallback tick";
+  EXPECT_TRUE(early.empty()) << early.size() << " of "
+                             << reports + fixes + ticks
+                             << " answers were emitted before their journal "
+                                "record or flush fsync, first: "
                              << (early.empty() ? "" : early.front());
 }
 
@@ -751,15 +884,6 @@ TEST(Recovery, PostRestoreCalibrateFlushAnswersMemo) {
   EXPECT_EQ(payload(restored_report), payload(last_report));
 }
 
-/// Registry counter value (0 when absent).
-std::uint64_t counter(const char* name) {
-  for (const auto& [n, v] :
-       obs::MetricsRegistry::instance().snapshot().counters) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
 /// The `"report":...` tail of a report line: its payload without the
 /// envelope's seq.
 std::string report_payload(const std::string& line) {
@@ -769,7 +893,7 @@ std::string report_payload(const std::string& line) {
 
 struct RestoredFlush {
   std::string report;  ///< the flush's report line ("" when none arrived)
-  std::uint64_t replay_solves = 0;  ///< counter deltas over the restore
+  std::uint64_t replay_solves = 0;  ///< the restoring service's counters
   std::uint64_t memo_restores = 0;
 };
 
@@ -778,16 +902,13 @@ struct RestoredFlush {
 RestoredFlush restore_and_flush(const std::string& dir,
                                 const std::string& declare,
                                 obs::EventLog* events = nullptr) {
-  obs::set_metrics_enabled(true);
-  const std::uint64_t solves = counter("serve.replay_solves");
-  const std::uint64_t installs = counter("serve.replay_memo_restores");
   RestoredFlush out;
   Process p(dir, events);
   p.service->ingest_line(declare);
   EXPECT_FALSE(p.restore_ack("cal").empty());
-  out.replay_solves = counter("serve.replay_solves") - solves;
-  out.memo_restores = counter("serve.replay_memo_restores") - installs;
-  obs::set_metrics_enabled(false);
+  const serve::ServeStats stats = p.service->stats();
+  out.replay_solves = stats[serve::ServeCounter::kReplaySolves];
+  out.memo_restores = stats[serve::ServeCounter::kReplayMemoRestores];
   p.service->ingest_line("!flush cal");
   p.service->drain();
   const auto post = sequenced(p.lines);

@@ -51,7 +51,7 @@ TEST(Service, DeclareIsSilentAndDataBeforeDeclareErrors) {
 
   h.feed({"!session a center=0,0.8,0", kRow, kRow});
   EXPECT_EQ(h.lines.size(), 1u);  // declare + accepted rows answer nothing
-  EXPECT_EQ(h.service.stats().samples, 2u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kSamples], 2u);
 }
 
 TEST(Service, RoutedDataToUnknownSessionErrors) {
@@ -105,7 +105,7 @@ TEST(Service, CsvHeaderAndParseErrorsPerSession) {
   ASSERT_EQ(h.lines.size(), 2u);
   EXPECT_TRUE(has_field(h.lines[0], "code", "parse_error"));
   EXPECT_TRUE(has_field(h.lines[1], "code", "parse_error"));
-  EXPECT_EQ(h.service.stats().parse_errors, 2u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kParseErrors], 2u);
 }
 
 TEST(Service, SequenceNumbersAreDenseAndOrdered) {
@@ -163,7 +163,7 @@ TEST(Service, IdleSessionsEvictDeterministically) {
   EXPECT_TRUE(has_field(h.lines[0], "event", "evict"));
   EXPECT_TRUE(has_field(h.lines[0], "session", "b"));
   EXPECT_TRUE(has_field(h.lines[1], "session", "c"));
-  EXPECT_EQ(h.service.stats().evictions, 2u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kEvictions], 2u);
   EXPECT_EQ(h.service.stats().sessions, 0u);
 
   // Active traffic refreshes the TTL.
@@ -193,8 +193,8 @@ TEST(Service, BusyRejectionWhenInflightCapIsZero) {
   h.feed({"!session a center=0,0.8,0", kRow, "!flush a"});
   ASSERT_EQ(h.lines.size(), 1u);
   EXPECT_TRUE(has_field(h.lines[0], "code", "busy"));
-  EXPECT_EQ(h.service.stats().rejected_busy, 1u);
-  EXPECT_EQ(h.service.stats().reports, 0u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kRejectedBusy], 1u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kReports], 0u);
 }
 
 TEST(Service, BusyRejectedCloseKeepsSessionForRetry) {
@@ -217,7 +217,7 @@ TEST(Service, BusyRejectedCloseKeepsSessionForRetry) {
     service.ingest_line("!flush a");  // occupies the only in-flight slot
     service.ingest_line("!close a");  // busy-rejected
     EXPECT_EQ(service.stats().sessions, 1u);
-    EXPECT_EQ(service.stats().rejected_busy, 1u);
+    EXPECT_EQ(service.stats()[ServeCounter::kRejectedBusy], 1u);
     gate.set_value();
     service.drain();
     service.ingest_line("!close a");  // retry now succeeds
@@ -249,7 +249,7 @@ TEST(Service, WorkerExceptionEmitsErrorAndStillDrains) {
   ASSERT_EQ(h.lines.size(), 1u);
   EXPECT_TRUE(has_field(h.lines[0], "schema", "lion.error.v1"));
   EXPECT_TRUE(has_field(h.lines[0], "code", "internal_error"));
-  EXPECT_EQ(h.service.stats().errors, 1u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kErrors], 1u);
   // The fault is per-request: the session survives and later solves work.
   h.feed({"!flush a"});
   ASSERT_EQ(h.lines.size(), 2u);
@@ -269,7 +269,7 @@ TEST(Service, RequestTimeoutDegradesToSolverFailureReport) {
   EXPECT_TRUE(has_field(h.lines[0], "schema", "lion.report.v1"));
   EXPECT_TRUE(has_field(h.lines[0], "status", "solver_failure"));
   EXPECT_NE(h.lines[0].find("deadline"), std::string::npos);
-  EXPECT_EQ(h.service.stats().timeouts, 1u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kTimeouts], 1u);
 }
 
 TEST(Service, BufferFullRejectsExtraSamples) {
@@ -289,7 +289,7 @@ TEST(Service, OversizedWireLineBecomesErrorStatus) {
   h.service.finish();
   ASSERT_EQ(h.lines.size(), 1u);
   EXPECT_TRUE(has_field(h.lines[0], "code", "oversized_line"));
-  EXPECT_EQ(h.service.stats().oversized, 1u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kOversized], 1u);
   EXPECT_EQ(h.service.stats().sessions, 0u);
 }
 
@@ -310,7 +310,7 @@ TEST(Service, TrackSessionEmitsWindowFixes) {
               std::string::npos)
         << h.lines[i];
   }
-  EXPECT_EQ(h.service.stats().fixes, 3u);
+  EXPECT_EQ(h.service.stats()[ServeCounter::kFixes], 3u);
 }
 
 TEST(Service, TrackFlushDrainsPartialWindow) {

@@ -120,13 +120,13 @@ TEST(Telemetry, SnapshotTracksPerSessionRed) {
 
   const serve::ServiceTelemetry tel = service.telemetry();
   EXPECT_GE(tel.uptime_s, 0.0);
-  EXPECT_GT(tel.stats.samples, 0u);
+  EXPECT_GT(tel.stats[serve::ServeCounter::kSamples], 0u);
   ASSERT_EQ(tel.sessions.size(), 1u);
   const serve::SessionTelemetry& s = tel.sessions[0];
   EXPECT_EQ(s.id, "g");
   EXPECT_FALSE(s.track);
   EXPECT_EQ(s.in_flight, 0u);  // drained
-  EXPECT_EQ(s.samples, tel.stats.samples);
+  EXPECT_EQ(s.samples, tel.stats[serve::ServeCounter::kSamples]);
   EXPECT_EQ(s.flushes, 1u);
   EXPECT_GE(s.requests, 1u);
   EXPECT_EQ(s.errors, 0u);
