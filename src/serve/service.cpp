@@ -86,7 +86,11 @@ void StreamService::detach_journals() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [id, session] : sessions_) {
     if (session.journal) {
-      session.journal->sync();
+      // No client is left to answer, so a failed teardown fsync is only
+      // counted and logged.
+      if (!session.journal->sync()) {
+        degrade_journal(session, "fsync failed", "no longer durable", false);
+      }
       session.journal.reset();
     }
     cfg_.journal->detach(id);
@@ -354,14 +358,7 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
     // No journal on disk: a fresh durable session.
     session.journal = store->open_writer(session.id, 0);
     if (!session.journal) {
-      session.journal_degraded = true;
-      ++stats_[ServeCounter::kJournalErrors];
-      event(obs::Severity::kError, "journal_degraded", session.id,
-            "could not open journal; session is not durable");
-      emit_error(session.id, "journal_error",
-                 "journal: could not open journal; session '" + session.id +
-                     "' is not durable",
-                 false);
+      degrade_journal(session, "could not open journal", "not durable");
     } else {
       journal_append(session, JournalRecordType::kDeclare, norm);
     }
@@ -400,14 +397,7 @@ bool StreamService::attach_journal(std::unique_lock<std::mutex>& lock,
   session.restored_records = rec->client_records;
   session.journal = store->open_writer(session.id, rec->record_count);
   if (!session.journal) {
-    session.journal_degraded = true;
-    ++stats_[ServeCounter::kJournalErrors];
-    event(obs::Severity::kError, "journal_degraded", session.id,
-          "could not reopen journal; session is no longer durable");
-    emit_error(session.id, "journal_error",
-               "journal: could not reopen journal; session '" + session.id +
-                   "' is no longer durable",
-               false);
+    degrade_journal(session, "could not reopen journal", "no longer durable");
   } else if (memo_resolved) {
     // Journal the rebuilt memo in the anchor form that carries its bytes,
     // so the next restart installs it instead of solving again.
@@ -565,6 +555,21 @@ void StreamService::retire_incremental(StreamSession& session,
   }
 }
 
+void StreamService::degrade_journal(StreamSession& session, const char* what,
+                                    const char* state, bool tell_client) {
+  if (session.journal_degraded) return;
+  session.journal_degraded = true;
+  ++stats_[ServeCounter::kJournalErrors];
+  event(obs::Severity::kError, "journal_degraded", session.id,
+        std::string(what) + "; session is " + state);
+  if (tell_client) {
+    emit_error(session.id, "journal_error",
+               "journal: " + std::string(what) + "; session '" + session.id +
+                   "' is " + state,
+               false);
+  }
+}
+
 void StreamService::journal_append(StreamSession& session,
                                    JournalRecordType type,
                                    std::string_view line) {
@@ -574,16 +579,7 @@ void StreamService::journal_append(StreamSession& session,
       session.journal->append(type, line, clock_ticks_, next_seq_);
   record_span(session, current_trace_id(), obs::Stage::kJournalAppend,
               append_start, obs::trace_now_ns());
-  if (ok) return;
-  // Latch: one error response per session, then keep serving non-durably.
-  session.journal_degraded = true;
-  ++stats_[ServeCounter::kJournalErrors];
-  event(obs::Severity::kError, "journal_degraded", session.id,
-        "append failed; session is no longer durable");
-  emit_error(session.id, "journal_error",
-             "journal: append failed; session '" + session.id +
-                 "' is no longer durable",
-             false);
+  if (!ok) degrade_journal(session, "append failed", "no longer durable");
 }
 
 void StreamService::journal_flush(StreamSession& session,
@@ -591,9 +587,10 @@ void StreamService::journal_flush(StreamSession& session,
   journal_append(session, type, "");
   if (!session.journal || session.journal_degraded) return;
   const std::uint64_t sync_start = obs::trace_now_ns();
-  session.journal->sync();
+  const bool ok = session.journal->sync();
   record_span(session, current_trace_id(), obs::Stage::kJournalSync,
               sync_start, obs::trace_now_ns());
+  if (!ok) degrade_journal(session, "fsync failed", "no longer durable");
 }
 
 void StreamService::handle_data(std::unique_lock<std::mutex>& lock,
@@ -1263,7 +1260,10 @@ void StreamService::release_origin(std::uint64_t origin) {
     // connection (or process) can re-claim the session. The journal file
     // is kept — EOF is teardown, not `!close`.
     if (it->second.journal) {
-      it->second.journal->sync();
+      if (!it->second.journal->sync()) {
+        degrade_journal(it->second, "fsync failed", "no longer durable",
+                        false);
+      }
       it->second.journal.reset();
     }
     if (cfg_.journal != nullptr) cfg_.journal->detach(it->first);

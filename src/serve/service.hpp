@@ -481,13 +481,21 @@ class StreamService {
   void push_incremental(StreamSession& session,
                         const sim::PhaseSample& sample);
   void retire_incremental(StreamSession& session, std::size_t count);
+  /// Latch the session's journal as failed, once per session: count a
+  /// journal error, log a `journal_degraded` event and, when a client is
+  /// there to tell, answer one `journal_error`. The session keeps serving
+  /// without durability. `what` names the failure and `state` is how
+  /// durable the session now is. Callers hold mu_.
+  void degrade_journal(StreamSession& session, const char* what,
+                       const char* state, bool tell_client = true);
   /// Append one record to the session's journal, degrading the session
-  /// (once, with an error response) on I/O failure. Callers hold mu_.
+  /// on I/O failure. Callers hold mu_.
   void journal_append(StreamSession& session, JournalRecordType type,
                       std::string_view line);
   /// Journal a flush boundary and fsync it: a flush is the client's
   /// durability boundary, so its record must survive an OS crash, not
-  /// just a process kill, before the answer can leave.
+  /// just a process kill, before the answer can leave. A failed fsync
+  /// degrades the session as a failed append does.
   void journal_flush(StreamSession& session, JournalRecordType type);
   /// Seal (sync) and detach every live session's journal — service
   /// teardown without close. Called by the destructor.

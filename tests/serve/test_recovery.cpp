@@ -10,9 +10,11 @@
 
 #include <unistd.h>
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -164,10 +166,11 @@ struct Process {
   std::unique_ptr<serve::StreamService> service;
 
   explicit Process(const std::string& dir,
-                   obs::EventLog* events = nullptr) {
+                   obs::EventLog* events = nullptr,
+                   std::size_t fsync_every = 8) {
     serve::JournalStoreConfig jcfg;
     jcfg.dir = dir;
-    jcfg.fsync_every = 8;
+    jcfg.fsync_every = fsync_every;
     store = std::make_unique<serve::JournalStore>(jcfg);
     EXPECT_TRUE(store->ok()) << store->error();
     serve::ServiceConfig cfg;
@@ -999,6 +1002,136 @@ TEST(Recovery, CloseDeletesTheJournal) {
   p2.service->ingest_line(input[0]);
   p2.service->drain();
   EXPECT_TRUE(p2.restore_ack("g").empty());  // fresh, no ack
+}
+
+
+/// Replace the fd this process holds open on `path` (found through
+/// /proc/self/fd) by a fresh open of `replacement` with `flags`, so the
+/// journal writer's next write() or fsync() hits the replacement.
+void replace_open_fd(const std::string& path, const std::string& replacement,
+                     int flags) {
+  char want[PATH_MAX];
+  ASSERT_NE(::realpath(path.c_str(), want), nullptr) << path;
+  int fd = -1;
+  if (::DIR* d = ::opendir("/proc/self/fd")) {
+    while (dirent* e = ::readdir(d)) {
+      char target[PATH_MAX];
+      const std::string link = std::string("/proc/self/fd/") + e->d_name;
+      const ssize_t n = ::readlink(link.c_str(), target, sizeof target - 1);
+      if (n <= 0) continue;
+      target[n] = '\0';
+      if (std::string(target) == want) fd = std::atoi(e->d_name);
+    }
+    ::closedir(d);
+  }
+  ASSERT_GE(fd, 0) << "no open fd on " << want;
+  const int swap = ::open(replacement.c_str(), flags | O_CLOEXEC);
+  ASSERT_GE(swap, 0) << replacement;
+  ASSERT_EQ(::dup2(swap, fd), fd);
+  ::close(swap);
+}
+
+std::size_t count_containing(const std::vector<std::string>& lines,
+                             const std::string& needle) {
+  std::size_t n = 0;
+  for (const auto& l : lines) n += l.find(needle) != std::string::npos;
+  return n;
+}
+
+/// The `"source":...` tail of every report line: source tag and payload,
+/// without the envelope's seq (a journal_error response shifts it).
+std::vector<std::string> report_tails(const std::vector<std::string>& lines) {
+  std::vector<std::string> out;
+  for (const auto& l : lines) {
+    if (l.rfind("{\"schema\":\"lion.report.v1\"", 0) != 0) continue;
+    const auto key = l.find("\"source\":");
+    out.push_back(key == std::string::npos ? l : l.substr(key));
+  }
+  return out;
+}
+
+/// A calibrate session whose journal fd is swapped for `replacement`
+/// after its first full-solve flush. The next flush repeats on an
+/// unchanged buffer, so it is answered from the memo with no solve and no
+/// later anchor append that could notice the fault for it: by its answer
+/// the session must have sent exactly one journal_error, and it sends no
+/// other. It counts one journal error on every surface, latches
+/// journal_degraded, and keeps answering every flush with the
+/// journal-less stream's reports.
+void expect_one_journal_error_latch(const std::string& replacement,
+                                    int flags, std::size_t fsync_every) {
+  auto input = build_input("g", synthetic_rows(60), 20);
+  ASSERT_EQ(input[21], "!flush g");
+  input.insert(input.begin() + 22, "!flush g");
+  const auto baseline = report_tails(run_plain(input));
+  ASSERT_EQ(baseline.size(), 5u);
+  ASSERT_NE(baseline[1].find("\"source\":\"memo\""), std::string::npos);
+
+  TempDir dir;
+  obs::EventLog events;
+  Process p(dir.path, &events, fsync_every);
+  p.feed(input, 0, 22);  // declare, 20 rows and a full-solve flush
+  replace_open_fd(dir.path + "/g.lionj",
+                  replacement.empty() ? dir.path + "/g.lionj" : replacement,
+                  flags);
+  p.feed(input, 22, 23);  // the memo flush
+  EXPECT_EQ(count_containing(p.lines, "\"code\":\"journal_error\""), 1u)
+      << "the memo flush after the fault was answered as durable";
+  p.feed(input, 23, input.size());
+  p.service->ingest_line("!healthz");
+  p.service->drain();
+
+  EXPECT_EQ(count_containing(p.lines, "\"code\":\"journal_error\""), 1u);
+  EXPECT_EQ(report_tails(p.lines), baseline);
+  EXPECT_EQ(p.service->stats()[serve::ServeCounter::kJournalErrors], 1u);
+  std::string health;
+  for (const auto& l : p.lines) {
+    if (l.rfind("{\"schema\":\"lion.health.v1\"", 0) == 0) health = l;
+  }
+  ASSERT_FALSE(health.empty());
+  EXPECT_EQ(uint_field(health, "journal_errors"), 1u);
+  EXPECT_EQ(uint_field(health, "journal_degraded"), 1u);
+  std::size_t degraded_events = 0;
+  for (const auto& e : events.snapshot()) {
+    degraded_events += e.type == "journal_degraded";
+  }
+  EXPECT_EQ(degraded_events, 1u);
+}
+
+// A journal write() that fails (the fd is read-only) latches the session.
+TEST(Recovery, FailedAppendAnswersOneJournalErrorAndKeepsServing) {
+  expect_one_journal_error_latch("", O_RDONLY, 8);
+}
+
+// An fsync() that fails at a flush (/dev/null takes writes but has no
+// fsync, so it returns EINVAL) latches the session the same way. With
+// fsync_every above the row count, the flushes are the only syncs.
+TEST(Recovery, FailedFlushFsyncAnswersOneJournalErrorAndKeepsServing) {
+  expect_one_journal_error_latch("/dev/null", O_WRONLY, 1024);
+}
+
+// A failed fsync at connection teardown has no client to answer: it is
+// counted and logged, and no journal_error response is sent.
+TEST(Recovery, FailedTeardownFsyncIsCountedAndLogged) {
+  const auto input = build_input("g", synthetic_rows(20), 100);
+  TempDir dir;
+  obs::EventLog events;
+  Process p(dir.path, &events, 1024);
+  constexpr std::uint64_t kOrigin = 7;
+  for (std::size_t i = 0; i + 1 < input.size(); ++i) {  // no flush
+    p.service->ingest_line(input[i], kOrigin);
+  }
+  p.service->drain();
+  replace_open_fd(dir.path + "/g.lionj", "/dev/null", O_WRONLY);
+  p.service->release_origin(kOrigin);
+
+  EXPECT_EQ(count_containing(p.lines, "\"code\":\"journal_error\""), 0u);
+  EXPECT_EQ(p.service->stats()[serve::ServeCounter::kJournalErrors], 1u);
+  std::size_t degraded_events = 0;
+  for (const auto& e : events.snapshot()) {
+    degraded_events += e.type == "journal_degraded";
+  }
+  EXPECT_EQ(degraded_events, 1u);
 }
 
 }  // namespace
